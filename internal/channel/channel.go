@@ -7,18 +7,20 @@
 // The medium is single-threaded and driven by a sim.Engine; all state
 // transitions happen inside simulator events, so runs are deterministic.
 //
-// Hot-path layout: every transceiver carries a compact dense index (its
-// registration order) and a sparse, ID-ordered neighbor list holding the
-// precomputed mean received power and frozen static shadowing toward every
-// station that could plausibly hear it. With a spatial grid installed
-// (SetGrid), neighbor candidates come only from cells within the
-// conservative audibility radius — cost per station is the local
-// neighborhood, not N. Without a grid the world is one implicit cell, every
-// pair is a candidate, and the computed state is exactly the old dense
-// matrices', so paper-scale runs stay byte-identical. Per-frame received
-// powers live in a pooled dense slice; the fading stream is drawn for every
-// node in ID order whether or not the pair was pruned, so sharding never
-// shifts the RNG draw order of a run (see DESIGN.md, "Performance model").
+// Hot-path layout: every transceiver carries a sparse, ID-ordered neighbor
+// list holding the precomputed mean received power and frozen static
+// shadowing toward every station that could plausibly hear it. With a
+// spatial grid installed (SetGrid), neighbor candidates come only from
+// cells within the conservative audibility radius — cost per station is the
+// local neighborhood, not N. Without a grid the world is one implicit cell,
+// every pair is a candidate, and the computed state is exactly the old dense
+// matrices', so paper-scale runs stay byte-identical. The fading stream is
+// drawn for every node in ID order whether or not the pair was pruned, so
+// sharding never shifts the RNG draw order of a run. Per-frame received
+// powers live only where they are used: each receiver keeps an air-ordered
+// list of the in-flight frames it can hear, with the linear power converted
+// once per frame, so energy and SINR sums walk the local interference and
+// never the city-wide air (see DESIGN.md, "Performance model").
 package channel
 
 import (
@@ -75,13 +77,14 @@ const audibilityFadeCapSigmas = 6.0
 
 // Medium is the shared wireless channel.
 type Medium struct {
-	eng    *sim.Engine
-	model  radio.LogNormal
-	noise  float64
-	rng    *rand.Rand
-	nodes  []*Transceiver
-	byID   map[frame.NodeID]*Transceiver
-	active []*transmission
+	eng     *sim.Engine
+	model   radio.LogNormal
+	noise   float64
+	noiseMW float64 // noise in milliwatts, refreshed whenever noise changes
+	rng     *rand.Rand
+	nodes   []*Transceiver
+	byID    map[frame.NodeID]*Transceiver
+	active  []*transmission
 
 	// CaptureMarginDB controls mid-frame re-locking; set negative to
 	// disable capture entirely.
@@ -129,11 +132,9 @@ type Medium struct {
 	// test knob, not a tuning knob.
 	FullRebuildOnMove bool
 
-	// txPool recycles transmission records (and their dense power slices);
-	// sinrScratch is the reusable interferer buffer of updateSINR and
-	// candScratch the reusable candidate buffer of neighborCandidates.
+	// txPool recycles transmission records; candScratch is the reusable
+	// candidate buffer of neighborCandidates.
 	txPool      []*transmission
-	sinrScratch []float64
 	candScratch []*Transceiver
 
 	// OnTransmitStart, when set, observes every transmission at the instant
@@ -183,6 +184,7 @@ func NewMedium(eng *sim.Engine, model radio.LogNormal, noiseFloorDBm float64) *M
 		eng:                  eng,
 		model:                model,
 		noise:                noiseFloorDBm,
+		noiseMW:              radio.DBmToMilliwatts(noiseFloorDBm),
 		rng:                  eng.RNG("channel.shadowing"),
 		byID:                 make(map[frame.NodeID]*Transceiver),
 		CaptureMarginDB:      DefaultCaptureMarginDB,
@@ -246,6 +248,7 @@ func (m *Medium) SetNoiseFloorDBm(dbm float64) {
 		return
 	}
 	m.noise = dbm
+	m.noiseMW = radio.DBmToMilliwatts(dbm)
 	m.geomDirty = true // the audibility floor moved with it
 	for _, n := range m.nodes {
 		m.updateSINR(n)
@@ -275,9 +278,7 @@ func (m *Medium) AddNode(id frame.NodeID, pos geom.Point, txPowerDBm float64, l 
 	if _, dup := m.byID[id]; dup {
 		panic(fmt.Sprintf("channel: duplicate node id %d", id))
 	}
-	// idx is the registration order — stable under the ID re-sort below, so
-	// dense per-pair state never moves once assigned.
-	tr := &Transceiver{id: id, idx: len(m.nodes), pos: pos, txPower: txPowerDBm, medium: m, listener: l}
+	tr := &Transceiver{id: id, pos: pos, txPower: txPowerDBm, medium: m, listener: l}
 	tr.collisions = m.nodeCollisionCounter(id)
 	m.byID[id] = tr
 	m.nodes = append(m.nodes, tr)
@@ -298,27 +299,22 @@ type transmission struct {
 	from *Transceiver
 	f    frame.Frame
 	rate phy.Rate
-	// rx holds the shadowing-resolved received power of this frame at every
-	// node (indexed by Transceiver.idx), sampled once at transmission start.
-	// Pruned (inaudible) receivers hold -Inf, which contributes exactly
-	// 0 mW to every power sum.
-	rx []float64
-	// heard is the transmitter's audibility list snapshotted at start, so
-	// the end-of-transmission sweep visits exactly the nodes notified at
-	// start even if geometry was rebuilt mid-flight.
+	// heard is the transmitter's audibility list snapshotted at start: the
+	// receivers whose air lists carry this frame. The end-of-transmission
+	// sweep visits exactly these nodes even if geometry was rebuilt
+	// mid-flight.
 	heard []*Transceiver
 	// activeIdx is this record's position in Medium.active.
 	activeIdx int
 }
 
-// rxAt returns the received power at dense index i. Out-of-range indexes
-// (a node registered after this frame started — never happens in shipped
-// scenarios) report 0 dBm, matching the old map's zero value.
-func (tx *transmission) rxAt(i int) float64 {
-	if i < len(tx.rx) {
-		return tx.rx[i]
-	}
-	return 0
+// airEntry is one in-flight frame as a receiver hears it: the shadowing-
+// resolved received power sampled at transmission start, in dBm and in
+// milliwatts (converted once, not on every energy or SINR sum).
+type airEntry struct {
+	tx  *transmission
+	dBm float64
+	mW  float64
 }
 
 // reception tracks a radio locked onto a frame.
@@ -343,7 +339,6 @@ type pairEntry struct {
 // Transceiver is one node's radio front-end.
 type Transceiver struct {
 	id         frame.NodeID
-	idx        int // dense index: registration order
 	pos        geom.Point
 	txPower    float64
 	medium     *Medium
@@ -352,6 +347,13 @@ type Transceiver struct {
 	lock       *reception
 	rec        reception // the single lock slot, reused across receptions
 	collisions *metrics.Counter
+
+	// air lists the in-flight frames this radio hears, in Medium.active
+	// order. Every frame missing from it (inaudible, pruned, started before
+	// this node registered, or the node's own) contributes exactly 0 mW, so
+	// summing the list reproduces a sum over all of Medium.active bit for
+	// bit.
+	air []airEntry
 
 	// Sparse shard state: the containing grid cell, the ID-ordered
 	// neighbor entries, and the lazily built audible snapshot (aud is
@@ -415,13 +417,21 @@ func (t *Transceiver) Receiving() bool { return t.lock != nil }
 // enhanced scheduler monitors.
 func (t *Transceiver) AggregateSignalDBm() float64 {
 	sumMW := 0.0
-	for _, tx := range t.medium.active {
-		if tx.from == t {
-			continue
-		}
-		sumMW += radio.DBmToMilliwatts(tx.rxAt(t.idx))
+	for i := range t.air {
+		sumMW += t.air[i].mW
 	}
 	return radio.MilliwattsToDBm(sumMW)
+}
+
+// airIndex returns the position of tx in t's air list. Every receiver in
+// tx.heard carries tx from its start to its end.
+func (t *Transceiver) airIndex(tx *transmission) int {
+	for i := len(t.air) - 1; i >= 0; i-- {
+		if t.air[i].tx == tx {
+			return i
+		}
+	}
+	panic("channel: a heard frame is missing from the receiver's air list")
 }
 
 // SetGrid installs a spatial shard grid: neighbor candidates are then drawn
@@ -732,7 +742,7 @@ func insertStation(cell []*Transceiver, t *Transceiver) []*Transceiver {
 }
 
 // newTransmission takes a pooled transmission record (or allocates the first
-// time) sized for the current node count.
+// time).
 func (m *Medium) newTransmission(t *Transceiver, f frame.Frame, rate phy.Rate) *transmission {
 	var tx *transmission
 	if n := len(m.txPool); n > 0 {
@@ -743,17 +753,12 @@ func (m *Medium) newTransmission(t *Transceiver, f frame.Frame, rate phy.Rate) *
 		tx = &transmission{}
 	}
 	tx.from, tx.f, tx.rate = t, f, rate
-	if cap(tx.rx) < len(m.nodes) {
-		tx.rx = make([]float64, len(m.nodes))
-	} else {
-		tx.rx = tx.rx[:len(m.nodes)]
-	}
 	return tx
 }
 
-// releaseTransmission returns a finished record to the pool. The dense power
-// slice is kept for reuse; reference fields are cleared so pooled records do
-// not retain transceivers or payload metadata.
+// releaseTransmission returns a finished record to the pool. Reference
+// fields are cleared so pooled records do not retain transceivers or payload
+// metadata.
 func (m *Medium) releaseTransmission(tx *transmission) {
 	tx.from = nil
 	tx.f = frame.Frame{}
@@ -788,7 +793,9 @@ func (t *Transceiver) Transmit(f frame.Frame, rate phy.Rate, airtime time.Durati
 	}
 	// Merge the sparse ID-ordered neighbor entries against the global
 	// ID-ordered node list: nodes without an entry (pruned by the shard
-	// grid) still draw, then land at -Inf.
+	// grid) still draw, then discard it. Each audible receiver gets the
+	// frame appended to its air list before any receiver is notified, as
+	// the frame joins m.active before any callback runs.
 	nbs := t.nbs
 	j := 0
 	for _, n := range m.nodes {
@@ -808,12 +815,10 @@ func (t *Transceiver) Transmit(f frame.Frame, rate phy.Rate, airtime time.Durati
 			}
 		}
 		if e != nil && e.audible {
-			tx.rx[n.idx] = e.meanDBm + shadow - m.extraPathLossDB
-		} else {
-			tx.rx[n.idx] = math.Inf(-1)
+			p := e.meanDBm + shadow - m.extraPathLossDB
+			n.air = append(n.air, airEntry{tx: tx, dBm: p, mW: radio.DBmToMilliwatts(p)})
 		}
 	}
-	tx.rx[t.idx] = math.Inf(-1)
 	tx.heard = m.audibleOf(t)
 	t.sending = tx
 	t.lock = nil // half-duplex: abort any reception
@@ -874,7 +879,7 @@ func (m *Medium) maybeLock(n *Transceiver, tx *transmission) {
 	if n.sending != nil {
 		return
 	}
-	p := tx.rxAt(n.idx)
+	p := n.air[n.airIndex(tx)].dBm
 	if p < tx.rate.SensitivityDBm {
 		return
 	}
@@ -891,23 +896,23 @@ func (m *Medium) maybeLock(n *Transceiver, tx *transmission) {
 	m.updateSINR(n)
 }
 
-// updateSINR re-evaluates the SINR of n's current lock against all other
-// active transmissions and latches corruption if it falls below the rate's
-// threshold.
+// updateSINR re-evaluates the SINR of n's current lock against every other
+// frame n hears and latches corruption if it falls below the rate's
+// threshold. The denominator is summed exactly as radio.SINRdB sums it over
+// all active transmissions: noise first, then interferers in air order, with
+// the inaudible ones (exactly 0 mW) left out.
 func (m *Medium) updateSINR(n *Transceiver) {
 	rec := n.lock
 	if rec == nil || rec.corrupted {
 		return
 	}
-	interferers := m.sinrScratch[:0]
-	for _, other := range m.active {
-		if other == rec.tx || other.from == n {
-			continue
+	denomMW := m.noiseMW
+	for i := range n.air {
+		if n.air[i].tx != rec.tx {
+			denomMW += n.air[i].mW
 		}
-		interferers = append(interferers, other.rxAt(n.idx))
 	}
-	m.sinrScratch = interferers[:0]
-	sinr := radio.SINRdB(rec.signalDBm, m.noise, interferers...)
+	sinr := rec.signalDBm - radio.MilliwattsToDBm(denomMW)
 	if sinr < rec.tx.rate.MinSIRdB {
 		rec.corrupted = true
 		// A collision overlap: interference pushed this node's locked frame
@@ -939,6 +944,14 @@ func (m *Medium) endTransmission(tx *transmission) {
 	m.active = m.active[:len(m.active)-1]
 	for j := i; j < len(m.active); j++ {
 		m.active[j].activeIdx = j
+	}
+	// The same ordered splice from every receiver's air list, all before the
+	// first callback, so each list keeps m.active's relative order.
+	for _, n := range tx.heard {
+		k := n.airIndex(tx)
+		copy(n.air[k:], n.air[k+1:])
+		n.air[len(n.air)-1] = airEntry{}
+		n.air = n.air[:len(n.air)-1]
 	}
 	tx.from.sending = nil
 	m.touchAir()
