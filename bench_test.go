@@ -1,10 +1,11 @@
 // Benchmarks: one target per table/figure of the paper's evaluation, plus
 // ablations of CO-MAP's design choices and micro-benchmarks of the hot
-// paths. The per-iteration bodies live in internal/benchscn so that
-// cmd/comap-bench measures exactly the same scenarios; each figure bench
-// runs a scaled-down version of the corresponding experiment
-// (cmd/comap-experiments regenerates the full data) and reports domain
-// metrics (goodput, gain) alongside ns/op.
+// paths, for measuring while working. The per-iteration bodies live in
+// internal/benchscn; each figure bench runs a scaled-down version of the
+// corresponding experiment (cmd/comap-experiments regenerates the full data)
+// and reports domain metrics (goodput, gain) alongside ns/op. The benchmark
+// that gates changes is perfbench/ (BENCHMARK.json), compared parent against
+// change by scripts/bench-pairs.sh.
 package main
 
 import (
@@ -14,15 +15,15 @@ import (
 	"repro/internal/benchscn"
 )
 
-// benchScenario runs the named benchscn scenario at the default scale and
-// reports its domain metrics from the first iteration.
+// benchScenario runs the named benchscn scenario and reports its domain
+// metrics from the first iteration.
 func benchScenario(b *testing.B, name string) {
 	b.Helper()
 	scn, ok := benchscn.Lookup(name)
 	if !ok {
 		b.Fatalf("unknown bench scenario %q", name)
 	}
-	run, err := scn.Prepare(benchscn.Default())
+	run, err := scn.Prepare()
 	if err != nil {
 		b.Fatal(err)
 	}

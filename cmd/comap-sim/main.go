@@ -422,7 +422,7 @@ func printAttribution(w io.Writer, a prof.Attribution) {
 }
 
 // writeAttribution writes the attribution as indented JSON (the same layout
-// /profile serves and comap-bench artifacts embed).
+// /profile serves).
 func writeAttribution(path string, a prof.Attribution) error {
 	data, err := json.MarshalIndent(a, "", "  ")
 	if err != nil {

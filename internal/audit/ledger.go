@@ -158,7 +158,7 @@ type Ledger struct {
 // tees it with the profiler) and calls Finish once the run completes.
 func NewLedger(cfg Config, m Manifest) *Ledger {
 	cfg = cfg.withDefaults()
-	m.FillEnv()
+	m.fillEnv()
 	m.SliceUs = cfg.SliceInterval.Microseconds()
 	m.DeepEvery = cfg.DeepEvery
 	l := &Ledger{

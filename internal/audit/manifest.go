@@ -32,10 +32,9 @@ type Manifest struct {
 	CreatedUTC   string `json:"created_utc"`
 }
 
-// FillEnv stamps the version and the informational environment fields.
-// NewLedger calls it; other manifest embedders (comap-bench artifacts) call
-// it themselves before serializing.
-func (m *Manifest) FillEnv() {
+// fillEnv stamps the version and the informational environment fields;
+// NewLedger calls it.
+func (m *Manifest) fillEnv() {
 	m.Version = ManifestVersion
 	m.GoVersion = runtime.Version()
 	m.GOOS = runtime.GOOS

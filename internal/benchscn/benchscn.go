@@ -1,22 +1,22 @@
-// Package benchscn defines the canonical benchmark scenarios shared by the
-// repository's `go test -bench` targets (bench_test.go) and the
-// comap-bench perf observatory. Each scenario prepares once and then
-// exposes a per-iteration body returning domain metrics (goodput in Mbps,
-// CO-MAP gain in percent, simulator events/s) under the same unit-suffixed
-// names the bench targets report with b.ReportMetric, so `go test -bench`
-// output and BENCH_*.json artifacts stay comparable.
+// Package benchscn defines the scenarios behind the repository's
+// `go test -bench` targets (bench_test.go): one per table and figure of the
+// paper's evaluation, ablations of CO-MAP's design choices, hot-path
+// micro-benchmarks, the control-plane ingest load and the city-scale sweep.
+// Each scenario prepares once and then exposes a per-iteration body
+// returning domain metrics (goodput in Mbps, CO-MAP gain in percent,
+// simulator events/s) under the unit-suffixed names the targets report with
+// b.ReportMetric. Changes are gated by the repository benchmark in
+// perfbench/ (BENCHMARK.json), not by these targets.
 package benchscn
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/bianchi"
 	"repro/internal/experiments"
 	"repro/internal/netsim"
 	"repro/internal/phy"
-	"repro/internal/prof"
 	"repro/internal/topology"
 )
 
@@ -25,120 +25,56 @@ import (
 // map is allowed for pure hot-path scenarios.
 type Metrics map[string]float64
 
-// Scale sets the per-iteration cost of every scenario.
-type Scale struct {
-	// Fig scales the figure-regeneration scenarios (seeds per point,
-	// simulated duration, Fig. 10 topology count).
-	Fig experiments.Opts
-	// ETDuration is the simulated time of the single-run exposed-terminal
-	// scenarios (ablations, simulator-second).
-	ETDuration time.Duration
-}
+// The scale every scenario runs at. figOpts scales the figure-regeneration
+// scenarios (seeds per point, simulated duration, Fig. 10 topology count);
+// etDuration is the simulated time of the single-run scenarios (ablations,
+// simulator-second, city sweep) and the load window of mapsvc-ingest.
+// Workers is pinned to 1: the targets measure sequential hot-path cost, so
+// ns/op and allocs/op do not depend on the host's core count (the parallel
+// runner's scaling is validated separately).
+var figOpts = experiments.Opts{Seeds: 1, Duration: 500 * time.Millisecond, Topologies: 2, Workers: 1}
 
-// Default is the scale the `go test -bench` targets run at. Workers is
-// pinned to 1: the observatory measures sequential hot-path cost, so ns/op
-// and allocs/op stay comparable across baselines regardless of the host's
-// core count (the parallel runner's scaling is validated separately).
-func Default() Scale {
-	return Scale{
-		Fig:        experiments.Opts{Seeds: 1, Duration: 500 * time.Millisecond, Topologies: 2, Workers: 1},
-		ETDuration: time.Second,
-	}
-}
-
-// QuickScale is the reduced scale behind `comap-bench -quick` (CI smoke).
-func QuickScale() Scale {
-	return Scale{
-		Fig:        experiments.Opts{Seeds: 1, Duration: 150 * time.Millisecond, Topologies: 1, Workers: 1},
-		ETDuration: 250 * time.Millisecond,
-	}
-}
+const etDuration = time.Second
 
 // Scenario is one named benchmark target.
 type Scenario struct {
-	// Name identifies the scenario in artifacts and -run filters.
+	// Name identifies the scenario to Lookup.
 	Name string
-	// Desc is a one-line description for `comap-bench -list`.
-	Desc string
-	// Quick marks the scenario as part of the -quick CI smoke subset.
-	Quick bool
 	// Prepare builds per-scenario state once and returns the measured
 	// per-iteration body.
-	Prepare func(sc Scale) (func() (Metrics, error), error)
+	Prepare func() (func() (Metrics, error), error)
 }
 
-// etRun runs the 30 m exposed-terminal testbed once and returns aggregate
-// goodput in Mbps.
-func etRun(dur time.Duration, seed int64, mutate func(*netsim.Options)) (float64, error) {
-	opts := netsim.TestbedOptions()
-	opts.Protocol = netsim.ProtocolComap
-	opts.Seed = seed
-	opts.Duration = dur
-	if mutate != nil {
-		mutate(&opts)
-	}
-	res, err := netsim.RunScenario(topology.ETSweep(30), opts)
-	if err != nil {
-		return 0, err
-	}
-	return res.Total() / 1e6, nil
-}
-
-func ablation(quick bool, mutate func(*netsim.Options)) func(sc Scale) (func() (Metrics, error), error) {
-	return func(sc Scale) (func() (Metrics, error), error) {
+// ablation runs the 30 m exposed-terminal testbed with CO-MAP, altered by
+// mutate, and reports aggregate goodput in Mbps.
+func ablation(mutate func(*netsim.Options)) func() (func() (Metrics, error), error) {
+	return func() (func() (Metrics, error), error) {
 		return func() (Metrics, error) {
-			g, err := etRun(sc.ETDuration, 7, mutate)
+			opts := netsim.TestbedOptions()
+			opts.Protocol = netsim.ProtocolComap
+			opts.Seed = 7
+			opts.Duration = etDuration
+			if mutate != nil {
+				mutate(&opts)
+			}
+			res, err := netsim.RunScenario(topology.ETSweep(30), opts)
 			if err != nil {
 				return nil, err
 			}
-			return Metrics{"Mbps": g}, nil
+			return Metrics{"Mbps": res.Total() / 1e6}, nil
 		}, nil
 	}
 }
 
-// AttributionRun executes one profiled exposed-terminal run at the given
-// scale and returns the per-subsystem attribution. It is what comap-bench
-// embeds as the artifact's attribution block: alongside the ns/op numbers it
-// says where the dispatch loop's events and wall time went, so a regression
-// can be localized to a subsystem without rerunning anything.
-func AttributionRun(sc Scale) (prof.Attribution, error) {
-	opts := netsim.TestbedOptions()
-	opts.Protocol = netsim.ProtocolComap
-	opts.Seed = 7
-	opts.Duration = sc.ETDuration
-	opts.Profile = &prof.Config{FlightEvents: -1}
-	n, err := netsim.Build(topology.ETSweep(30), opts)
-	if err != nil {
-		return prof.Attribution{}, err
-	}
-	n.Run()
-	return n.Prof.Attribution(), nil
-}
-
-// ReferenceManifest identifies the attribution reference run the same way a
-// determinism ledger would: scenario name, seed, options fingerprint and
-// topology hash (see internal/audit). comap-bench embeds it in BENCH_*.json
-// artifacts, so a benchmark diff can tell "the code got slower" apart from
-// "the reference scenario changed" without re-running anything.
-func ReferenceManifest(sc Scale) audit.Manifest {
-	opts := netsim.TestbedOptions()
-	opts.Protocol = netsim.ProtocolComap
-	opts.Seed = 7
-	opts.Duration = sc.ETDuration
-	return netsim.ManifestFor("bench-attribution-et30", topology.ETSweep(30), opts)
-}
-
-// Scenarios returns the canonical list: figures first, then the hot-path and
+// scenarios returns the canonical list: figures first, then the hot-path and
 // ablation targets, then the city-scale sweep, in stable order.
-func Scenarios() []Scenario {
-	return append([]Scenario{
+func scenarios() []Scenario {
+	return []Scenario{
 		{
-			Name:  "fig1-exposed-terminal-sweep",
-			Desc:  "802.11 exposed-terminal distance sweep (Fig. 1)",
-			Quick: true,
-			Prepare: func(sc Scale) (func() (Metrics, error), error) {
+			Name: "fig1-exposed-terminal-sweep",
+			Prepare: func() (func() (Metrics, error), error) {
 				return func() (Metrics, error) {
-					res, err := experiments.Fig1(sc.Fig)
+					res, err := experiments.Fig1(figOpts)
 					if err != nil {
 						return nil, err
 					}
@@ -148,10 +84,9 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name: "fig2-hidden-terminal-payload",
-			Desc: "hidden-terminal payload study (Fig. 2)",
-			Prepare: func(sc Scale) (func() (Metrics, error), error) {
+			Prepare: func() (func() (Metrics, error), error) {
 				return func() (Metrics, error) {
-					res, err := experiments.Fig2(sc.Fig)
+					res, err := experiments.Fig2(figOpts)
 					if err != nil {
 						return nil, err
 					}
@@ -165,10 +100,9 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name: "fig7-model-validation",
-			Desc: "analytical-model vs simulation validation (Fig. 7)",
-			Prepare: func(sc Scale) (func() (Metrics, error), error) {
+			Prepare: func() (func() (Metrics, error), error) {
 				return func() (Metrics, error) {
-					panels, err := experiments.Fig7(sc.Fig)
+					panels, err := experiments.Fig7(figOpts)
 					if err != nil {
 						return nil, err
 					}
@@ -182,12 +116,10 @@ func Scenarios() []Scenario {
 			},
 		},
 		{
-			Name:  "fig8-comap-exposed-terminal",
-			Desc:  "CO-MAP vs 802.11 exposed-terminal gain (Fig. 8)",
-			Quick: true,
-			Prepare: func(sc Scale) (func() (Metrics, error), error) {
+			Name: "fig8-comap-exposed-terminal",
+			Prepare: func() (func() (Metrics, error), error) {
 				return func() (Metrics, error) {
-					res, err := experiments.Fig8(sc.Fig)
+					res, err := experiments.Fig8(figOpts)
 					if err != nil {
 						return nil, err
 					}
@@ -197,10 +129,9 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name: "fig9-comap-hidden-terminal",
-			Desc: "CO-MAP hidden-terminal topologies (Fig. 9)",
-			Prepare: func(sc Scale) (func() (Metrics, error), error) {
+			Prepare: func() (func() (Metrics, error), error) {
 				return func() (Metrics, error) {
-					res, err := experiments.Fig9(sc.Fig)
+					res, err := experiments.Fig9(figOpts)
 					if err != nil {
 						return nil, err
 					}
@@ -210,10 +141,9 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name: "fig10-large-scale",
-			Desc: "large-scale office floor with location error (Fig. 10)",
-			Prepare: func(sc Scale) (func() (Metrics, error), error) {
+			Prepare: func() (func() (Metrics, error), error) {
 				return func() (Metrics, error) {
-					res, err := experiments.Fig10(sc.Fig)
+					res, err := experiments.Fig10(figOpts)
 					if err != nil {
 						return nil, err
 					}
@@ -225,10 +155,8 @@ func Scenarios() []Scenario {
 			},
 		},
 		{
-			Name:  "table1-adaptation-table",
-			Desc:  "CO-MAP adaptation-table construction (Table I)",
-			Quick: true,
-			Prepare: func(sc Scale) (func() (Metrics, error), error) {
+			Name: "table1-adaptation-table",
+			Prepare: func() (func() (Metrics, error), error) {
 				base := bianchi.FromPHY(phy.NS2Table1(), phy.RateOFDM6)
 				return func() (Metrics, error) {
 					tbl := bianchi.NewAdaptationTable(base, 5, 8, nil, nil)
@@ -241,27 +169,20 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name:    "ablation-header-embedded",
-			Desc:    "CO-MAP with embedded location headers (default)",
-			Quick:   true,
-			Prepare: ablation(true, nil),
+			Prepare: ablation(nil),
 		},
 		{
 			Name:    "ablation-header-frame",
-			Desc:    "CO-MAP with dedicated location frames",
-			Prepare: ablation(false, func(o *netsim.Options) { o.Header = netsim.HeaderFrame }),
+			Prepare: ablation(func(o *netsim.Options) { o.Header = netsim.HeaderFrame }),
 		},
 		{
 			Name:    "ablation-dcf-baseline",
-			Desc:    "802.11 DCF baseline on the ET testbed",
-			Quick:   true,
-			Prepare: ablation(true, func(o *netsim.Options) { o.Protocol = netsim.ProtocolDCF }),
+			Prepare: ablation(func(o *netsim.Options) { o.Protocol = netsim.ProtocolDCF }),
 		},
 		mapsvcIngest(),
 		{
-			Name:  "bianchi-goodput",
-			Desc:  "hot path: one Bianchi goodput evaluation",
-			Quick: true,
-			Prepare: func(sc Scale) (func() (Metrics, error), error) {
+			Name: "bianchi-goodput",
+			Prepare: func() (func() (Metrics, error), error) {
 				p := bianchi.FromPHY(phy.NS2Table1(), phy.RateOFDM6)
 				p.W = 255
 				p.Contenders = 5
@@ -275,16 +196,14 @@ func Scenarios() []Scenario {
 			},
 		},
 		{
-			Name:  "simulator-second",
-			Desc:  "simulate the saturated two-link testbed end to end",
-			Quick: true,
-			Prepare: func(sc Scale) (func() (Metrics, error), error) {
+			Name: "simulator-second",
+			Prepare: func() (func() (Metrics, error), error) {
 				seed := int64(0)
 				return func() (Metrics, error) {
 					opts := netsim.TestbedOptions()
 					opts.Protocol = netsim.ProtocolComap
 					opts.Seed = seed
-					opts.Duration = sc.ETDuration
+					opts.Duration = etDuration
 					seed++
 					n, err := netsim.Build(topology.ETSweep(30), opts)
 					if err != nil {
@@ -296,12 +215,15 @@ func Scenarios() []Scenario {
 				}, nil
 			},
 		},
-	}, CityScenarios()...)
+		cityScenario(100),
+		cityScenario(300),
+		cityScenario(1000),
+	}
 }
 
 // Lookup returns the scenario with the given name.
 func Lookup(name string) (Scenario, bool) {
-	for _, s := range Scenarios() {
+	for _, s := range scenarios() {
 		if s.Name == name {
 			return s, true
 		}

@@ -14,23 +14,21 @@ import (
 // 1000 exposes the channel's scaling: with spatial sharding the per-event
 // cost tracks the local neighborhood size, so the rate should fall far
 // slower than the quadratic dense model would predict.
-func cityScenario(n int, quick bool) Scenario {
+func cityScenario(n int) Scenario {
 	return Scenario{
-		Name:  fmt.Sprintf("cityscale-n%d", n),
-		Desc:  fmt.Sprintf("trace-driven %d-station city on the sharded channel", n),
-		Quick: quick,
-		Prepare: func(sc Scale) (func() (Metrics, error), error) {
+		Name: fmt.Sprintf("cityscale-n%d", n),
+		Prepare: func() (func() (Metrics, error), error) {
 			top, err := topology.CityScale(topology.DefaultCityConfig(n, 42))
 			if err != nil {
 				return nil, err
 			}
 			tr := topology.SynthesizeCityTrace(top, rand.New(rand.NewSource(42)), topology.CityTraceConfig{
-				Duration: sc.ETDuration,
+				Duration: etDuration,
 			})
 			return func() (Metrics, error) {
 				opts := netsim.CityOptions()
 				opts.Seed = 42
-				opts.Duration = sc.ETDuration
+				opts.Duration = etDuration
 				net, err := netsim.Build(top, opts)
 				if err != nil {
 					return nil, err
@@ -43,17 +41,5 @@ func cityScenario(n int, quick bool) Scenario {
 				return Metrics{"events_per_sec": p.EventsPerSec}, nil
 			}, nil
 		},
-	}
-}
-
-// CityScenarios returns the city-scale sweep, smallest first. The whole
-// sweep is in the quick subset: the scaling claim (events/s across n) only
-// means something when all three points come from the same artifact, and at
-// quick scale even n=1000 finishes in seconds.
-func CityScenarios() []Scenario {
-	return []Scenario{
-		cityScenario(100, true),
-		cityScenario(300, true),
-		cityScenario(1000, true),
 	}
 }

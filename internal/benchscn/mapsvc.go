@@ -25,8 +25,8 @@ import (
 // obs.Server listener) with a concurrent binary fix stream over real
 // loopback HTTP, node-churn invalidations racing the ingest, and verdict
 // readers measuring tail latency through mapsvc.HTTPTransport. One
-// iteration drives the load for a wall-clock window scaled by
-// Scale.ETDuration and reports:
+// iteration drives the load for a wall-clock window of etDuration and
+// reports:
 //
 //	fixes_per_sec  — accepted ingest records per second (target >= 1M/s)
 //	verdict_p99_us — p99 verdict latency under ingest+churn load
@@ -38,12 +38,7 @@ func mapsvcIngest() Scenario {
 	)
 	return Scenario{
 		Name: "mapsvc-ingest",
-		Desc: "control-plane ingest saturation over HTTP with churn and verdict tail latency",
-		// In the quick subset so the CI bench diff gate watches the
-		// control-plane server path (the rpc tracing/SLO instrumentation
-		// rides on it) for regressions.
-		Quick: true,
-		Prepare: func(sc Scale) (func() (Metrics, error), error) {
+		Prepare: func() (func() (Metrics, error), error) {
 			no := netsim.NS2Options()
 			start := time.Now()
 			svc := mapsvc.NewService(mapsvc.ServiceConfig{
@@ -177,7 +172,7 @@ func mapsvcIngest() Scenario {
 				}
 
 				t0 := time.Now()
-				time.Sleep(sc.ETDuration)
+				time.Sleep(etDuration)
 				stop.Store(true)
 				wg.Wait()
 				elapsed := time.Since(t0)

@@ -111,8 +111,7 @@ type Medium struct {
 	// geomDirty schedules a full geometry rebuild before the next
 	// transmission (node added, power/noise changed, grid installed).
 	// Single-node position changes after the first build are applied
-	// incrementally instead (see moveNode) unless FullRebuildOnMove forces
-	// the legacy lazy path.
+	// incrementally instead (see moveNode).
 	geomDirty bool
 
 	// Spatial sharding. grid == nil means one implicit cell: every node is
@@ -124,13 +123,6 @@ type Medium struct {
 	cells     [][]*Transceiver
 	nbrCells  [][]int32
 	nbrRadius float64
-
-	// FullRebuildOnMove disables incremental neighbor maintenance: every
-	// SetPosition marks the geometry dirty for a full lazy rebuild, as the
-	// dense implementation did. The incremental path must be
-	// indistinguishable from this (same values, same RNG stream set) — a
-	// test knob, not a tuning knob.
-	FullRebuildOnMove bool
 
 	// txPool recycles transmission records; candScratch is the reusable
 	// candidate buffer of neighborCandidates.
@@ -386,9 +378,9 @@ func (t *Transceiver) Position() geom.Point { return t.pos }
 // never the full N×N state.
 func (t *Transceiver) SetPosition(p geom.Point) {
 	m := t.medium
-	if m.geomDirty || m.FullRebuildOnMove {
-		// No valid incremental base yet (or the test knob forces the legacy
-		// lazy path): fold the move into the pending full rebuild.
+	if m.geomDirty {
+		// No valid incremental base yet: fold the move into the pending
+		// full rebuild.
 		t.pos = p
 		m.geomDirty = true
 		return

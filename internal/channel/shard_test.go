@@ -25,6 +25,9 @@ type shardFixture struct {
 	m     *Medium
 	recs  map[frame.NodeID]*recorder
 	nodes []*Transceiver
+	// rebuildOnMove marks the geometry dirty before every scheduled move,
+	// so each one is folded into a full rebuild instead of moveNode.
+	rebuildOnMove bool
 }
 
 func newShardFixture(t *testing.T, seed int64, n int, grid *topology.Grid) *shardFixture {
@@ -69,7 +72,12 @@ func (fx *shardFixture) run() {
 			tr := fx.nodes[i]
 			dx, dy := (rng.Float64()-0.5)*400, (rng.Float64()-0.5)*400
 			p := geom.Pt(clampF(tr.Position().X+dx, 0, 1000), clampF(tr.Position().Y+dy, 0, 1000))
-			fx.eng.Schedule(at, func() { tr.SetPosition(p) })
+			fx.eng.Schedule(at, func() {
+				if fx.rebuildOnMove {
+					fx.m.geomDirty = true
+				}
+				tr.SetPosition(p)
+			})
 			at += 50 * time.Microsecond
 		}
 	}
@@ -137,10 +145,11 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 }
 
 // TestIncrementalMatchesFullRebuild pins the incremental neighbor-maintenance
-// path (single-node moves splicing cell lists and reverse entries) against
-// the legacy full-rebuild-on-move path: identical deliveries, identical RNG
-// stream cursors — the incremental path may not shift a single draw — and
-// identical digests. This is the RNG-stream-identity guarantee for mobility.
+// path (single-node moves splicing cell lists and reverse entries) against a
+// full geometry rebuild after every move: identical deliveries, identical
+// RNG stream cursors — the incremental path may not shift a single draw —
+// and identical digests. This is the RNG-stream-identity guarantee for
+// mobility.
 func TestIncrementalMatchesFullRebuild(t *testing.T) {
 	grid, err := topology.NewGrid(geom.Pt(0, 0), 1000, 3)
 	if err != nil {
@@ -155,7 +164,7 @@ func TestIncrementalMatchesFullRebuild(t *testing.T) {
 			inc := newShardFixture(t, 3, 18, gr)
 			inc.run()
 			full := newShardFixture(t, 3, 18, gr)
-			full.m.FullRebuildOnMove = true
+			full.rebuildOnMove = true
 			full.run()
 
 			if a, b := inc.footprint(), full.footprint(); a != b {

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -13,8 +14,12 @@ import (
 	"repro/internal/sim"
 )
 
+// fullGrammar exercises every location and channel fault kind and every
+// parameter; it also seeds FuzzParse.
+const fullGrammar = "locloss:p=0.3; locdelay:d=200ms,at=1s,dur=2s; outage:node=2,at=1s,dur=2s; bias:at=1s,dur=500ms,m=20; churn:node=3,at=1s,dur=2s,every=4s; fade:at=2s,dur=300ms,db=10; noise:at=2s,dur=300ms,db=-5"
+
 func TestParseFullGrammar(t *testing.T) {
-	spec, err := Parse("locloss:p=0.3; locdelay:d=200ms,at=1s,dur=2s; outage:node=2,at=1s,dur=2s; bias:at=1s,dur=500ms,m=20; churn:node=3,at=1s,dur=2s,every=4s; fade:at=2s,dur=300ms,db=10; noise:at=2s,dur=300ms,db=-5")
+	spec, err := Parse(fullGrammar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +64,11 @@ func TestParseRejectsMalformedSpecs(t *testing.T) {
 		{"outage:node=banana,at=1s,dur=1s", "node"},
 		{"locloss:p=0.5,at=oops", "at"},
 		{";;", "no processes"},
+		{"locloss:p=NaN", "p=\"NaN\": must be finite"},
+		{"noise:db=NaN,dur=1s", "db=\"NaN\": must be finite"},
+		{"bias:m=NaN,dur=1s", "m=\"NaN\": must be finite"},
+		{"bias:m=+Inf,dur=1s", "m=\"+Inf\": must be finite"},
+		{"fade:db=+Inf,dur=1s", "db=\"+Inf\": must be finite"},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.spec); err == nil {
@@ -67,6 +77,28 @@ func TestParseRejectsMalformedSpecs(t *testing.T) {
 			t.Errorf("Parse(%q) error = %v, want substring %q", c.spec, err, c.wantErr)
 		}
 	}
+}
+
+// FuzzParse checks that no spec makes Parse panic and that every accepted
+// process carries finite P, M and DB.
+func FuzzParse(f *testing.F) {
+	f.Add(fullGrammar)
+	for _, part := range strings.Split(fullGrammar, ";") {
+		f.Add(strings.TrimSpace(part))
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		spec, err := Parse(text)
+		if err != nil || spec == nil {
+			return
+		}
+		for _, p := range spec.Procs {
+			for _, v := range []float64{p.P, p.M, p.DB} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("Parse(%q) accepted non-finite parameter: %+v", text, p)
+				}
+			}
+		}
+	})
 }
 
 func newFaultedRegistry(eng *sim.Engine) *loc.Registry {

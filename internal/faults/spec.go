@@ -28,6 +28,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -227,26 +228,29 @@ func (p *Process) setParam(key, val string) error {
 	case "d":
 		return parseDur(val, key, &p.D)
 	case "p":
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return fmt.Errorf("p=%q: %v", val, err)
-		}
-		p.P = f
+		return parseFinite(val, key, &p.P)
 	case "m":
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return fmt.Errorf("m=%q: %v", val, err)
-		}
-		p.M = f
+		return parseFinite(val, key, &p.M)
 	case "db":
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return fmt.Errorf("db=%q: %v", val, err)
-		}
-		p.DB = f
+		return parseFinite(val, key, &p.DB)
 	default:
 		return fmt.Errorf("unknown parameter %q for %s", key, p.Kind)
 	}
+	return nil
+}
+
+// parseFinite rejects NaN and ±Inf as well as malformed numbers: NaN passes
+// every range check in validate (all its comparisons are false), and a
+// non-finite noise jump or fade turns every SINR it reaches into NaN.
+func parseFinite(val, key string, into *float64) error {
+	f, err := strconv.ParseFloat(val, 64)
+	if err != nil {
+		return fmt.Errorf("%s=%q: %v", key, val, err)
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return fmt.Errorf("%s=%q: must be finite", key, val)
+	}
+	*into = f
 	return nil
 }
 

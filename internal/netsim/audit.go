@@ -14,8 +14,8 @@ import (
 // ManifestFor builds the ledger manifest for a scenario: the run's identity
 // (scenario name, seed) plus the fingerprints that make two ledgers
 // comparable — a digest over every causal Options knob except the seed, and
-// a digest over the topology's nodes and flows. Exported so other artifact
-// writers (comap-bench) can stamp the same provenance block.
+// a digest over the topology's nodes and flows. Exported for the ledger
+// comparisons outside netsim (comap-audit, the experiments harness).
 func ManifestFor(scenario string, top topology.Topology, opts Options) audit.Manifest {
 	return audit.Manifest{
 		Scenario:     scenario,

@@ -127,7 +127,7 @@ type TagStat struct {
 
 // Attribution is the machine-readable profile: where the dispatch loop's
 // events and wall time went, by subsystem. It is what /profile serves and
-// what the comap-bench attribution block embeds.
+// what comap-sim -profile-out writes.
 type Attribution struct {
 	// SampleEvery is the timestamp sampling stride the numbers were
 	// collected at.

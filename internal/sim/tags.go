@@ -45,7 +45,8 @@ const (
 )
 
 // tagNames indexes Tag -> stable attribution name. The names are part of
-// the /profile and BENCH_*.json schemas; do not rename casually.
+// the attribution schema (/profile, comap-sim -profile-out); do not rename
+// casually.
 var tagNames = [NumTags]string{
 	TagOther:   "other",
 	TagMAC:     "mac",

@@ -106,7 +106,7 @@ func TestScheduleTaggedRestoresContext(t *testing.T) {
 }
 
 // TestTagNamesStable pins the attribution names: they are part of the
-// /profile and BENCH_*.json schemas.
+// attribution schema (/profile, comap-sim -profile-out).
 func TestTagNamesStable(t *testing.T) {
 	want := map[Tag]string{
 		TagOther:   "other",
