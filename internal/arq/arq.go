@@ -201,7 +201,9 @@ func (s *Sender) OnAck(ackSeq uint16, bitmap uint32) (frames, payloadBytes int) 
 type Receiver struct {
 	started bool
 	highest uint16
-	seen    map[uint16]bool
+	// seen is a ring of horizon bits, one per sequence number s within the
+	// horizon (uint16(highest-s) < horizon), at bit s mod horizon.
+	seen [horizon / 64]uint64
 }
 
 // horizon is how far behind the highest sequence number the receiver
@@ -210,7 +212,7 @@ const horizon = 256
 
 // NewReceiver creates an empty receiver.
 func NewReceiver() *Receiver {
-	return &Receiver{seen: make(map[uint16]bool)}
+	return &Receiver{}
 }
 
 // OnData records reception of seq and reports whether the frame is new
@@ -219,30 +221,42 @@ func (r *Receiver) OnData(seq uint16) (isNew bool) {
 	if !r.started {
 		r.started = true
 		r.highest = seq
-		r.seen[seq] = true
+		r.mark(seq)
 		return true
 	}
 	if seqBefore(r.highest, seq) {
-		r.highest = seq
-		r.prune()
+		r.advance(seq)
 	} else if uint16(r.highest-seq) >= horizon {
 		// Too old to track: assume we have seen it.
 		return false
 	}
-	if r.seen[seq] {
+	if r.has(seq) {
 		return false
 	}
-	r.seen[seq] = true
+	r.mark(seq)
 	return true
 }
 
-// prune forgets sequence numbers older than the horizon.
-func (r *Receiver) prune() {
-	for s := range r.seen {
-		if uint16(r.highest-s) >= horizon {
-			delete(r.seen, s)
+// advance moves the highest sequence number forward to seq, forgetting the
+// numbers that fall out of the horizon: those are exactly the ones whose
+// ring bits the numbers highest+1..seq now take over.
+func (r *Receiver) advance(seq uint16) {
+	if uint16(seq-r.highest) >= horizon {
+		r.seen = [horizon / 64]uint64{}
+	} else {
+		for s := r.highest + 1; s != seq+1; s++ {
+			r.seen[s%horizon/64] &^= 1 << (s % 64)
 		}
 	}
+	r.highest = seq
+}
+
+func (r *Receiver) mark(s uint16) { r.seen[s%horizon/64] |= 1 << (s % 64) }
+
+// has reports whether s was received; numbers outside the horizon never
+// were, as far as the receiver remembers.
+func (r *Receiver) has(s uint16) bool {
+	return uint16(r.highest-s) < horizon && r.seen[s%horizon/64]&(1<<(s%64)) != 0
 }
 
 // Ack returns the acknowledgement for the most recent reception: the highest
@@ -266,7 +280,7 @@ func (r *Receiver) AckFor(seq uint16) (ackSeq uint16, bitmap uint32) {
 func (r *Receiver) bitmapBefore(seq uint16) uint32 {
 	var bitmap uint32
 	for i := uint16(0); i < 32; i++ {
-		if r.seen[seq-1-i] {
+		if r.has(seq - 1 - i) {
 			bitmap |= 1 << i
 		}
 	}

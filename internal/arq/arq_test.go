@@ -313,3 +313,79 @@ func TestAckForAnchorsAtReceivedSeq(t *testing.T) {
 		t.Errorf("bitmap = %b, want low bits set", bitmap)
 	}
 }
+
+// mapReceiver is the map-based receiver the horizon ring replaced: it
+// forgets numbers older than the horizon by walking its map whenever the
+// highest number advances. It is the reference for the ring's behaviour.
+type mapReceiver struct {
+	started bool
+	highest uint16
+	seen    map[uint16]bool
+}
+
+func (r *mapReceiver) onData(seq uint16) bool {
+	if !r.started {
+		r.started, r.highest = true, seq
+		r.seen = map[uint16]bool{seq: true}
+		return true
+	}
+	if seqBefore(r.highest, seq) {
+		r.highest = seq
+		for s := range r.seen {
+			if uint16(r.highest-s) >= horizon {
+				delete(r.seen, s)
+			}
+		}
+	} else if uint16(r.highest-seq) >= horizon {
+		return false
+	}
+	if r.seen[seq] {
+		return false
+	}
+	r.seen[seq] = true
+	return true
+}
+
+func (r *mapReceiver) bitmapBefore(seq uint16) uint32 {
+	var bitmap uint32
+	for i := uint16(0); i < 32; i++ {
+		if r.seen[seq-1-i] {
+			bitmap |= 1 << i
+		}
+	}
+	return bitmap
+}
+
+// TestReceiverMatchesMapReference feeds the ring receiver and the map
+// reference the same arrivals — in-order runs, jumps past the horizon,
+// stragglers and wraparound — and requires identical dedup verdicts and
+// ACK bitmaps, anchored both at the received number and at the highest.
+func TestReceiverMatchesMapReference(t *testing.T) {
+	for trial := int64(0); trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		r, ref := NewReceiver(), &mapReceiver{}
+		seq := uint16(rng.Intn(1 << 16))
+		for i := 0; i < 5000; i++ {
+			switch k := rng.Intn(20); {
+			case k < 12:
+				seq++
+			case k < 14:
+				seq += uint16(rng.Intn(600))
+			case k < 19:
+				seq -= uint16(rng.Intn(300))
+			default:
+				seq = uint16(rng.Intn(1 << 16))
+			}
+			if got, want := r.OnData(seq), ref.onData(seq); got != want {
+				t.Fatalf("trial %d step %d: OnData(%d) = %v, want %v", trial, i, seq, got, want)
+			}
+			if _, got := r.AckFor(seq); got != ref.bitmapBefore(seq) {
+				t.Fatalf("trial %d step %d: AckFor(%d) bitmap %032b, want %032b", trial, i, seq, got, ref.bitmapBefore(seq))
+			}
+			hi, got, _ := r.Ack()
+			if hi != ref.highest || got != ref.bitmapBefore(ref.highest) {
+				t.Fatalf("trial %d step %d: Ack = %d/%032b, want %d/%032b", trial, i, hi, got, ref.highest, ref.bitmapBefore(ref.highest))
+			}
+		}
+	}
+}

@@ -1,8 +1,9 @@
 package comap
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bianchi"
@@ -103,11 +104,9 @@ type Agent struct {
 	cmap  *CoOccurrenceMap
 	rates []phy.Rate
 	// seen records when each foreign link was last observed on the air
-	// (from its discovery header); it drives persistent concurrency.
-	seen map[Link]time.Duration
-	// seenScratch is reused by persistentConcurrencyOK so the sorted
-	// iteration over seen does not allocate per access attempt.
-	seenScratch []Link
+	// (from its discovery header); it drives persistent concurrency. Kept
+	// sorted by link (Src, then Dst), so every walk is in link order.
+	seen []seenLink
 
 	// Location-health model (zero = trust the provider unconditionally).
 	health HealthPolicy
@@ -116,6 +115,11 @@ type Agent struct {
 	// fixFn is the agent's provider view as a FixFunc (bound once so the
 	// hot path does not allocate a method-value closure per decision).
 	fixFn FixFunc
+
+	// versioned is locs as a loc.Versioned, nil when it has no change
+	// counter; env memoises CountEnvironment per destination against it.
+	versioned loc.Versioned
+	env       []envMemo
 
 	// remote, when set, answers co-occurrence-map misses through the mapsvc
 	// control plane instead of computing in-process (see SetRemote).
@@ -147,9 +151,9 @@ func NewAgent(id frame.NodeID, model Model, locs loc.Provider) *Agent {
 		model: model,
 		locs:  locs,
 		cmap:  NewCoOccurrenceMap(),
-		seen:  make(map[Link]time.Duration),
 	}
 	a.fixFn = a.fixOf
+	a.versioned, _ = locs.(loc.Versioned)
 	return a
 }
 
@@ -234,7 +238,32 @@ func (a *Agent) TraceAdaptation(dst frame.NodeID, hidden, contenders, cw, payloa
 // given virtual time (the MAC decoded its discovery header).
 func (a *Agent) ObserveLink(src, dst frame.NodeID, now time.Duration) {
 	a.mHeaders.Inc()
-	a.seen[Link{Src: src, Dst: dst}] = now
+	l := Link{Src: src, Dst: dst}
+	i, found := a.seenIndex(l)
+	if !found {
+		a.seen = slices.Insert(a.seen, i, seenLink{link: l})
+	}
+	a.seen[i].at = now
+}
+
+// seenLink is one entry of Agent.seen.
+type seenLink struct {
+	link Link
+	at   time.Duration
+}
+
+// seenIndex finds l in the sorted seen table: its index, or where it would
+// be inserted.
+func (a *Agent) seenIndex(l Link) (int, bool) {
+	return slices.BinarySearchFunc(a.seen, l, func(e seenLink, l Link) int { return compareLinks(e.link, l) })
+}
+
+// compareLinks orders links by Src, then Dst.
+func compareLinks(x, y Link) int {
+	if x.Src != y.Src {
+		return cmp.Compare(x.Src, y.Src)
+	}
+	return cmp.Compare(x.Dst, y.Dst)
 }
 
 // DefaultLinkMaxAge is how long an observed link stays "active" for the
@@ -260,25 +289,15 @@ func (a *Agent) PersistentConcurrencyOK(myDst frame.NodeID, now time.Duration) b
 func (a *Agent) persistentConcurrencyOK(myDst frame.NodeID, now time.Duration) bool {
 	// The loop expires stale entries, may return early, and feeds the
 	// hit/miss telemetry through Allowed — all order-sensitive side
-	// effects, so Go's randomized map iteration would make otherwise
-	// identical runs diverge. Walk the links in sorted order instead.
-	links := a.seenScratch[:0]
-	for l := range a.seen {
-		links = append(links, l)
-	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].Src != links[j].Src {
-			return links[i].Src < links[j].Src
-		}
-		return links[i].Dst < links[j].Dst
-	})
-	a.seenScratch = links
+	// effects, so it walks the links in their sorted order, never a map's.
 	active := 0
-	for _, l := range links {
-		if now-a.seen[l] > DefaultLinkMaxAge {
-			delete(a.seen, l)
+	for i := 0; i < len(a.seen); {
+		l := a.seen[i].link
+		if now-a.seen[i].at > DefaultLinkMaxAge {
+			a.seen = slices.Delete(a.seen, i, i+1)
 			continue
 		}
+		i++
 		active++
 		if l.Src == a.id || l.Dst == a.id || l.Src == myDst || l.Dst == myDst {
 			return false
@@ -370,11 +389,7 @@ func (a *Agent) OnPositionsChanged() {
 // link that no longer exists.
 func (a *Agent) OnStationChanged(id frame.NodeID) {
 	a.cmap.InvalidateNode(id)
-	for l := range a.seen {
-		if l.Src == id || l.Dst == id {
-			delete(a.seen, l)
-		}
-	}
+	a.seen = slices.DeleteFunc(a.seen, func(e seenLink) bool { return e.link.Src == id || e.link.Dst == id })
 	a.mInvalidate.Inc()
 	a.mMapSize.Set(float64(a.cmap.Len()))
 }
@@ -459,12 +474,60 @@ func (a *Agent) CountEnvironment(dst frame.NodeID, candidates []frame.NodeID) (h
 			a.mEnvCont.Set(0)
 			return 0, 0
 		}
+		// Fix age moves with the clock, so the healthy set can change while
+		// no position does; the memo compares that set, not the input.
 		candidates = a.healthyOnly(candidates)
 	}
-	hidden = len(a.model.HiddenTerminals(a.locs, a.id, dst, candidates))
-	contenders = len(a.model.Contenders(a.locs, a.id, candidates))
+	hidden, contenders = a.memoEnvironment(dst, candidates)
 	a.mEnvHidden.Set(float64(hidden))
 	a.mEnvCont.Set(float64(contenders))
+	return hidden, contenders
+}
+
+// envMemo is CountEnvironment's memo for one destination: the counts, valid
+// while the provider's change counter and the candidate set are as recorded.
+type envMemo struct {
+	dst                frame.NodeID
+	changes            uint64
+	candidates         []frame.NodeID
+	hidden, contenders int
+}
+
+// memoEnvironment returns countEnvironment's counts, reusing the last ones
+// for dst when no position and no candidate has changed since. The counts
+// are a pure function of the positions, so the memo cannot change them.
+func (a *Agent) memoEnvironment(dst frame.NodeID, candidates []frame.NodeID) (hidden, contenders int) {
+	var changes uint64
+	ok := false
+	if a.versioned != nil {
+		changes, ok = a.versioned.Changes()
+	}
+	if !ok {
+		return a.countEnvironment(dst, candidates)
+	}
+	var m *envMemo
+	for i := range a.env {
+		if a.env[i].dst == dst {
+			m = &a.env[i]
+			break
+		}
+	}
+	if m == nil {
+		a.env = append(a.env, envMemo{dst: dst})
+		m = &a.env[len(a.env)-1]
+	} else if m.changes == changes && slices.Equal(m.candidates, candidates) {
+		return m.hidden, m.contenders
+	}
+	m.hidden, m.contenders = a.countEnvironment(dst, candidates)
+	m.changes = changes
+	m.candidates = append(m.candidates[:0], candidates...)
+	return m.hidden, m.contenders
+}
+
+// countEnvironment evaluates the hidden-terminal and contention models.
+func (a *Agent) countEnvironment(dst frame.NodeID, candidates []frame.NodeID) (hidden, contenders int) {
+	hidden = len(a.model.HiddenTerminals(a.locs, a.id, dst, candidates))
+	contenders = len(a.model.Contenders(a.locs, a.id, candidates))
 	return hidden, contenders
 }
 

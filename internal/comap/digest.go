@@ -1,6 +1,7 @@
 package comap
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/audit"
@@ -16,16 +17,11 @@ import (
 func (a *Agent) DigestState(h *audit.Hasher) {
 	h.Int(int(a.id))
 	a.cmap.digest(h)
-	links := make([]Link, 0, len(a.seen))
-	for l := range a.seen {
-		links = append(links, l)
-	}
-	sortLinks(links)
-	h.Int(len(links))
-	for _, l := range links {
-		h.Int(int(l.Src))
-		h.Int(int(l.Dst))
-		h.Int64(int64(a.seen[l]))
+	h.Int(len(a.seen))
+	for _, e := range a.seen {
+		h.Int(int(e.link.Src))
+		h.Int(int(e.link.Dst))
+		h.Int64(int64(e.at))
 	}
 }
 
@@ -36,7 +32,7 @@ func (c *CoOccurrenceMap) digest(h *audit.Hasher) {
 	for l := range c.entries {
 		links = append(links, l)
 	}
-	sortLinks(links)
+	slices.SortFunc(links, compareLinks)
 	h.Int(len(links))
 	for _, l := range links {
 		h.Int(int(l.Src))
@@ -53,13 +49,4 @@ func (c *CoOccurrenceMap) digest(h *audit.Hasher) {
 			h.Bool(row[d])
 		}
 	}
-}
-
-func sortLinks(links []Link) {
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].Src != links[j].Src {
-			return links[i].Src < links[j].Src
-		}
-		return links[i].Dst < links[j].Dst
-	})
 }

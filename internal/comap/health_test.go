@@ -311,10 +311,10 @@ func TestOnStationChangedPrunesSeenLinks(t *testing.T) {
 	a.Map().Insert(Link{Src: 5, Dst: 6}, 11, true)
 	a.Map().Insert(Link{Src: 7, Dst: 8}, 11, true)
 	a.OnStationChanged(5)
-	if _, ok := a.seen[Link{Src: 5, Dst: 6}]; ok {
+	if _, ok := a.seenIndex(Link{Src: 5, Dst: 6}); ok {
 		t.Error("seen link involving the churned node survived")
 	}
-	if _, ok := a.seen[Link{Src: 7, Dst: 8}]; !ok {
+	if _, ok := a.seenIndex(Link{Src: 7, Dst: 8}); !ok {
 		t.Error("unrelated seen link was dropped")
 	}
 	if _, found := a.Map().Lookup(Link{Src: 5, Dst: 6}, 11); found {

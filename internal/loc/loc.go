@@ -36,6 +36,16 @@ type Provider interface {
 	Position(id frame.NodeID) (geom.Point, bool)
 }
 
+// Versioned is a Provider that counts changes to its answers, so a consumer
+// may cache anything it derives from positions until the count moves.
+type Versioned interface {
+	Provider
+	// Changes returns a counter that moves whenever Position may answer
+	// differently than before. ok is false when the provider cannot tell;
+	// nothing derived from its positions may then be cached.
+	Changes() (n uint64, ok bool)
+}
+
 // Fix is one committed position report: the (erroneous) position itself,
 // the virtual time it was measured, and the reported error radius of the
 // localization source. Consumers derive the fix's age from ReportedAt.
@@ -77,8 +87,12 @@ type Registry struct {
 	// triggers a new report, in meters.
 	updateThreshold float64
 
-	truth    map[frame.NodeID]geom.Point
-	reported map[frame.NodeID]Fix
+	truth map[frame.NodeID]geom.Point
+	// reported holds the committed fixes indexed by node ID; slots of
+	// nodes without a fix have ok false.
+	reported []reportedFix
+	// changes counts the commits and deregistrations (Versioned).
+	changes uint64
 	// lastReportTrue remembers the true position at last report time, for
 	// the movement-threshold rule.
 	lastReportTrue map[frame.NodeID]geom.Point
@@ -100,7 +114,16 @@ type Registry struct {
 	onDeregister func(id frame.NodeID)
 }
 
-var _ FixProvider = (*Registry)(nil)
+// reportedFix is one slot of Registry.reported.
+type reportedFix struct {
+	fix Fix
+	ok  bool
+}
+
+var (
+	_ FixProvider = (*Registry)(nil)
+	_ Versioned   = (*Registry)(nil)
+)
 
 // NewRegistry creates a registry with the given error radius and update
 // threshold. rng drives the error sampling; it must not be shared with other
@@ -111,7 +134,6 @@ func NewRegistry(rng *rand.Rand, errorRangeMeters, updateThresholdMeters float64
 		errorRange:      errorRangeMeters,
 		updateThreshold: updateThresholdMeters,
 		truth:           make(map[frame.NodeID]geom.Point),
-		reported:        make(map[frame.NodeID]Fix),
 		lastReportTrue:  make(map[frame.NodeID]geom.Point),
 	}
 }
@@ -187,7 +209,10 @@ func (r *Registry) Deregister(id frame.NodeID) bool {
 		return false
 	}
 	delete(r.truth, id)
-	delete(r.reported, id)
+	if int(id) < len(r.reported) {
+		r.reported[id] = reportedFix{}
+	}
+	r.changes++
 	delete(r.lastReportTrue, id)
 	if r.frozen != nil {
 		delete(r.frozen, id)
@@ -296,10 +321,14 @@ func (r *Registry) commit(id frame.NodeID, fix Fix) {
 	if _, registered := r.truth[id]; !registered {
 		return // node left while the report was in flight
 	}
-	if cur, ok := r.reported[id]; ok && cur.ReportedAt > fix.ReportedAt {
+	if cur, ok := r.Fix(id); ok && cur.ReportedAt > fix.ReportedAt {
 		return
 	}
-	r.reported[id] = fix
+	if int(id) >= len(r.reported) {
+		r.reported = append(r.reported, make([]reportedFix, int(id)+1-len(r.reported))...)
+	}
+	r.reported[id] = reportedFix{fix: fix, ok: true}
+	r.changes++
 	if r.onCommit != nil {
 		r.onCommit(id, fix)
 	}
@@ -328,15 +357,22 @@ func (r *Registry) addError(p geom.Point) geom.Point {
 // Position implements Provider: the last reported (erroneous, possibly
 // stale) position.
 func (r *Registry) Position(id frame.NodeID) (geom.Point, bool) {
-	fix, ok := r.reported[id]
+	fix, ok := r.Fix(id)
 	return fix.Pos, ok
 }
 
 // Fix implements FixProvider: the last committed fix with its metadata.
 func (r *Registry) Fix(id frame.NodeID) (Fix, bool) {
-	fix, ok := r.reported[id]
-	return fix, ok
+	if int(id) >= len(r.reported) {
+		return Fix{}, false
+	}
+	s := r.reported[id]
+	return s.fix, s.ok
 }
+
+// Changes implements Versioned: it moves on every committed fix and every
+// deregistration.
+func (r *Registry) Changes() (uint64, bool) { return r.changes, true }
 
 // TruePosition returns the ground-truth position.
 func (r *Registry) TruePosition(id frame.NodeID) (geom.Point, bool) {

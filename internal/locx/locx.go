@@ -74,7 +74,10 @@ type Node struct {
 	isAP    bool
 	apID    frame.NodeID
 
-	table          map[frame.NodeID]loc.Fix
+	table map[frame.NodeID]loc.Fix
+	// changes counts the table writes that moved or added a position, and
+	// the removals (loc.Versioned).
+	changes        uint64
 	lastReported   geom.Point
 	lastReportTime time.Duration
 	hasReported    bool
@@ -92,7 +95,10 @@ type Node struct {
 	tickEv      sim.Handle
 }
 
-var _ loc.FixProvider = (*Node)(nil)
+var (
+	_ loc.FixProvider = (*Node)(nil)
+	_ loc.Versioned   = (*Node)(nil)
+)
 
 // NewClient creates the exchange endpoint of a client associated with apID.
 // measure supplies the client's own (noisy) position fix.
@@ -144,11 +150,7 @@ func (n *Node) SetLossFn(f func() bool) { n.lossFn = f }
 func (n *Node) learnSelf() (geom.Point, bool) {
 	pos, ok := n.measure()
 	if ok {
-		n.table[n.m.ID()] = loc.Fix{
-			Pos:               pos,
-			ReportedAt:        n.eng.Now(),
-			ErrorRadiusMeters: n.cfg.ErrorRadiusMeters,
-		}
+		n.learn(n.m.ID(), pos)
 	}
 	return pos, ok
 }
@@ -263,6 +265,7 @@ func (n *Node) Forget(id frame.NodeID) bool {
 	_, ok := n.table[id]
 	if ok {
 		delete(n.table, id)
+		n.changes++
 	}
 	return ok
 }
@@ -281,13 +284,23 @@ func (n *Node) OnBeacon(f frame.Frame) (changed bool) {
 	}
 	owner := frame.NodeID(f.Seq)
 	pos := geom.Pt(f.X, f.Y)
-	old, known := n.table[owner]
-	n.table[owner] = loc.Fix{
+	old, known := n.learn(owner, pos)
+	return !known || old.Pos.DistanceTo(pos) > positionChangeEpsilon
+}
+
+// learn stores pos as id's fix, stamped now, and returns the fix it
+// replaced. The change counter moves only when the position does.
+func (n *Node) learn(id frame.NodeID, pos geom.Point) (old loc.Fix, known bool) {
+	old, known = n.table[id]
+	if !known || old.Pos != pos {
+		n.changes++
+	}
+	n.table[id] = loc.Fix{
 		Pos:               pos,
 		ReportedAt:        n.eng.Now(),
 		ErrorRadiusMeters: n.cfg.ErrorRadiusMeters,
 	}
-	return !known || old.Pos.DistanceTo(pos) > positionChangeEpsilon
+	return old, known
 }
 
 // Position implements loc.Provider from the learned neighbor table.
@@ -295,6 +308,10 @@ func (n *Node) Position(id frame.NodeID) (geom.Point, bool) {
 	fix, ok := n.table[id]
 	return fix.Pos, ok
 }
+
+// Changes implements loc.Versioned: it moves whenever a learned position is
+// added, moved or forgotten.
+func (n *Node) Changes() (uint64, bool) { return n.changes, true }
 
 // Fix implements loc.FixProvider: a learned position's ReportedAt is the
 // time this node last heard a beacon carrying it, so in-band staleness —

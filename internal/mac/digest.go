@@ -28,7 +28,7 @@ func (m *MAC) DigestState(h *audit.Hasher) {
 	h.Int(int(m.st))
 	h.Float64(m.curRate.BitsPerSec)
 	h.Bool(m.busy)
-	h.Float64(m.energyMW)
+	h.Float64(m.energyMW())
 	h.Bool(m.eifs)
 	h.Bool(m.navActive)
 	h.Bool(m.ackPending)

@@ -184,9 +184,12 @@ type MAC struct {
 	st       phase
 	curRate  phy.Rate
 
-	busy     bool
-	energyMW float64
-	eifs     bool
+	busy bool
+	// energyDBm is the aggregate energy last reported by the channel;
+	// energyMW converts it on demand, since only the exposed-terminal
+	// branches need milliwatts. A fresh MAC starts at -Inf (no energy).
+	energyDBm float64
+	eifs      bool
 	// navActive implements the basic virtual carrier sense set from the
 	// Duration field of decoded frames addressed to other stations: it keeps
 	// the medium "busy" across the SIFS+ACK tail of their exchange. (This is
@@ -205,6 +208,8 @@ type MAC struct {
 	concPending  bool
 	concExpiryEv sim.Handle
 	rssi1MW      float64
+	// etDeltaMW is cfg.ETDeltaDBm in milliwatts, converted once.
+	etDeltaMW float64
 	// concSrc/concDst identify the ongoing link we are overlapping with.
 	concSrc, concDst frame.NodeID
 	// persistent mirrors the paper's testbed implementation: once the agent
@@ -239,14 +244,16 @@ var _ channel.Listener = (*MAC)(nil)
 func New(eng *sim.Engine, tr *channel.Transceiver, cfg Config) *MAC {
 	cfg.applyDefaults()
 	m := &MAC{
-		eng:     eng,
-		tr:      tr,
-		cfg:     cfg,
-		rng:     eng.RNG("mac.backoff." + itoa(int(tr.ID()))),
-		stat:    stats.NewCounter(),
-		counter: -1,
-		cw:      0,
-		owner:   int32(tr.ID()),
+		eng:       eng,
+		tr:        tr,
+		cfg:       cfg,
+		rng:       eng.RNG("mac.backoff." + itoa(int(tr.ID()))),
+		stat:      stats.NewCounter(),
+		counter:   -1,
+		cw:        0,
+		owner:     int32(tr.ID()),
+		energyDBm: math.Inf(-1),
+		etDeltaMW: radio.DBmToMilliwatts(cfg.ETDeltaDBm),
 	}
 	m.cw = m.initialCW()
 	m.rateKey = make(map[string]string, len(cfg.PHY.Rates)+1)
@@ -428,7 +435,7 @@ func (m *MAC) startAccess() {
 		// Refresh the RSSI baseline: energy seen now (the ongoing data) is
 		// the reference against which a second exposed terminal's start is
 		// detected.
-		m.rssi1MW = m.energyMW
+		m.rssi1MW = m.energyMW()
 	}
 	m.scheduleDefer()
 }
@@ -913,7 +920,7 @@ func (m *MAC) onHeaderDecoded(f frame.Frame, _ float64) {
 		// already on the air, so the current energy is the RSSI1 baseline
 		// and the backoff can resume right away.
 		m.concurrent = true
-		m.rssi1MW = m.energyMW
+		m.rssi1MW = m.energyMW()
 		if m.trace.Enabled() {
 			m.trace.Emit(trace.Event{
 				Kind: trace.KindETJoin, Src: f.Src, Dst: f.Dst,
@@ -968,24 +975,33 @@ func (m *MAC) transmitAck(ack frame.Frame) {
 	m.touchAir()
 }
 
+// energyMW returns the last reported aggregate energy in milliwatts: 0 for
+// an idle channel (-Inf dBm).
+func (m *MAC) energyMW() float64 { return dbmToMW(m.energyDBm) }
+
+func dbmToMW(dbm float64) float64 {
+	if math.IsInf(dbm, -1) {
+		return 0
+	}
+	return radio.DBmToMilliwatts(dbm)
+}
+
 // EnergyChanged implements channel.Listener.
 func (m *MAC) EnergyChanged(aggDBm float64) {
 	defer m.touchAir()
-	oldMW := m.energyMW
-	newMW := 0.0
-	if !math.IsInf(aggDBm, -1) {
-		newMW = radio.DBmToMilliwatts(aggDBm)
-	}
-	m.energyMW = newMW
+	oldDBm := m.energyDBm
+	m.energyDBm = aggDBm
 
-	if m.concPending && newMW > oldMW {
+	// Milliwatts are derived only inside the exposed-terminal branches that
+	// compare them; the short-circuits keep every other report Pow-free.
+	if m.concPending && m.energyMW() > dbmToMW(oldDBm) {
 		// The announced data frame hit the air: record RSSI1 and resume the
 		// backoff through the busy medium (paper Fig. 6).
 		m.concPending = false
 		m.eng.Cancel(m.concExpiryEv)
 		m.concExpiryEv = sim.Handle{}
 		m.concurrent = true
-		m.rssi1MW = newMW
+		m.rssi1MW = m.energyMW()
 		if m.trace.Enabled() {
 			e := trace.Event{Kind: trace.KindETJoin, Src: m.concSrc, Dst: m.concDst, Reason: "energy_rise"}
 			if len(m.queue) > 0 {
@@ -997,7 +1013,7 @@ func (m *MAC) EnergyChanged(aggDBm float64) {
 			m.scheduleDefer()
 		}
 	} else if m.concurrent && m.st == phaseAccess &&
-		newMW-m.rssi1MW >= radio.DBmToMilliwatts(m.cfg.ETDeltaDBm) {
+		m.energyMW()-m.rssi1MW >= m.etDeltaMW {
 		// RSSI2 ≥ RSSI1 + T'cs: another exposed terminal began transmitting;
 		// abandon the opportunity and fall back to normal deferral. The rule
 		// only applies while counting down — outside the access phase an

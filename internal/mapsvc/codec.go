@@ -55,10 +55,12 @@ func EncodeRecords(recs []IngestRecord) []byte {
 
 // DecodeRecords decodes concatenated records. A trailing partial record
 // (torn tail of a WAL cut short by a crash) is tolerated and dropped;
-// a record with an unknown op is an error.
+// a record with an unknown op is an error, and so is a report whose position
+// is not finite or whose error radius is negative or not finite (a negative
+// radius would make worst-case verdicts optimistic).
 func DecodeRecords(data []byte) ([]IngestRecord, error) {
 	recs := make([]IngestRecord, 0, len(data)/recordSize)
-	for len(data) >= recordSize {
+	for i := 0; len(data) >= recordSize; i++ {
 		b := data[:recordSize]
 		data = data[recordSize:]
 		r := IngestRecord{
@@ -74,7 +76,27 @@ func DecodeRecords(data []byte) ([]IngestRecord, error) {
 		}
 		r.Fix.Pos.X = math.Float64frombits(binary.LittleEndian.Uint64(b[3:11]))
 		r.Fix.Pos.Y = math.Float64frombits(binary.LittleEndian.Uint64(b[11:19]))
+		if r.Op == RecReport {
+			if err := checkFix(r.Fix); err != nil {
+				return nil, fmt.Errorf("mapsvc: ingest record %d (node %d): %w", i, r.Node, err)
+			}
+		}
 		recs = append(recs, r)
 	}
 	return recs, nil
 }
+
+// checkFix reports the first invalid field of a reported fix.
+func checkFix(f loc.Fix) error {
+	switch {
+	case !finite(f.Pos.X):
+		return fmt.Errorf("x %v is not finite", f.Pos.X)
+	case !finite(f.Pos.Y):
+		return fmt.Errorf("y %v is not finite", f.Pos.Y)
+	case !finite(f.ErrorRadiusMeters) || f.ErrorRadiusMeters < 0:
+		return fmt.Errorf("error radius %v is not a finite non-negative number", f.ErrorRadiusMeters)
+	}
+	return nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -1,7 +1,9 @@
 package mapsvc
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -99,6 +101,27 @@ func TestHTTPCausalHeadersReachServerEvents(t *testing.T) {
 	}
 	if miss.Reason != "miss" || miss.Op != "verdict" || miss.Attempt != 2 {
 		t.Errorf("verdict server event = %+v, want miss/verdict attempt 2", miss)
+	}
+}
+
+// TestHTTPIngestRejectsNonFiniteFix asserts /v1/ingest answers 400 to a
+// report with a non-finite fix and leaves the fix table without it.
+func TestHTTPIngestRejectsNonFiniteFix(t *testing.T) {
+	srv, svc, _, _ := newHTTPFixture(t)
+	body := EncodeRecords([]IngestRecord{{
+		Op: RecReport, Node: 4,
+		Fix: loc.Fix{Pos: geom.Pt(math.NaN(), math.Inf(1)), ErrorRadiusMeters: math.NaN()},
+	}})
+	resp, err := srv.Client().Post(srv.URL+"/v1/ingest", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status %d, want 400", resp.StatusCode)
+	}
+	if fix, ok := svc.fixOf(4); ok {
+		t.Errorf("fix table holds %+v", fix)
 	}
 }
 

@@ -3,8 +3,10 @@ package mapsvc
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,6 +70,90 @@ func TestCodecUnknownOpRejected(t *testing.T) {
 	if _, err := DecodeRecords(enc); err == nil {
 		t.Fatal("unknown op decoded without error")
 	}
+}
+
+// TestCodecRejectsInvalidFixes checks that a report whose position is not
+// finite, or whose error radius is negative or not finite, fails to decode
+// with an error naming the record and the field — wherever it sits in the
+// batch — while deregistrations, whose fix is unused, are not checked.
+func TestCodecRejectsInvalidFixes(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	ok := loc.Fix{Pos: geom.Pt(1, 2), ErrorRadiusMeters: 3}
+	cases := []struct {
+		name  string
+		fix   loc.Fix
+		field string // "" = must decode
+	}{
+		{"valid", ok, ""},
+		{"zero radius", loc.Fix{Pos: geom.Pt(-1, 0)}, ""},
+		{"nan x", loc.Fix{Pos: geom.Pt(nan, 2), ErrorRadiusMeters: 3}, "x"},
+		{"+inf x", loc.Fix{Pos: geom.Pt(inf, 2), ErrorRadiusMeters: 3}, "x"},
+		{"-inf y", loc.Fix{Pos: geom.Pt(1, -inf), ErrorRadiusMeters: 3}, "y"},
+		{"nan y", loc.Fix{Pos: geom.Pt(1, nan), ErrorRadiusMeters: 3}, "y"},
+		{"nan pos and radius", loc.Fix{Pos: geom.Pt(nan, inf), ErrorRadiusMeters: nan}, "x"},
+		{"nan radius", loc.Fix{Pos: geom.Pt(1, 2), ErrorRadiusMeters: nan}, "error radius"},
+		{"inf radius", loc.Fix{Pos: geom.Pt(1, 2), ErrorRadiusMeters: inf}, "error radius"},
+		{"negative radius", loc.Fix{Pos: geom.Pt(1, 2), ErrorRadiusMeters: -0.5}, "error radius"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			recs := []IngestRecord{
+				{Op: RecReport, Node: 1, Fix: ok},
+				{Op: RecReport, Node: 7, Fix: tc.fix},
+			}
+			dec, err := DecodeRecords(EncodeRecords(recs))
+			if tc.field == "" {
+				if err != nil || len(dec) != 2 {
+					t.Fatalf("decode = %d records, %v; want 2, nil", len(dec), err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("decoded %+v without error", dec)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "record 1") || !strings.Contains(msg, tc.field) {
+				t.Errorf("error %q does not name record 1 and field %q", msg, tc.field)
+			}
+			// A deregistration carrying the same bytes is fine.
+			recs[1].Op = RecDeregister
+			if _, err := DecodeRecords(EncodeRecords(recs)); err != nil {
+				t.Errorf("deregistration rejected: %v", err)
+			}
+		})
+	}
+}
+
+// FuzzDecodeRecords feeds arbitrary bytes to the codec: it must never
+// panic, and every record it accepts must be a known op with a finite fix
+// that re-encodes to the exact bytes it came from.
+func FuzzDecodeRecords(f *testing.F) {
+	f.Add(EncodeRecords(sampleRecords()))
+	for _, r := range sampleRecords() {
+		f.Add(AppendRecord(nil, r))
+	}
+	f.Add(EncodeRecords(sampleRecords())[:recordSize+10])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := DecodeRecords(data)
+		if err != nil {
+			return
+		}
+		if len(recs) != len(data)/recordSize {
+			t.Fatalf("decoded %d records from %d bytes", len(recs), len(data))
+		}
+		for i, r := range recs {
+			if r.Op != RecReport && r.Op != RecDeregister {
+				t.Fatalf("record %d: accepted op %d", i, r.Op)
+			}
+			if r.Op == RecReport && (!finite(r.Fix.Pos.X) || !finite(r.Fix.Pos.Y) ||
+				!finite(r.Fix.ErrorRadiusMeters) || r.Fix.ErrorRadiusMeters < 0) {
+				t.Fatalf("record %d: accepted fix %+v", i, r.Fix)
+			}
+			raw := data[i*recordSize : (i+1)*recordSize]
+			if got := AppendRecord(nil, r); !bytes.Equal(got, raw) {
+				t.Fatalf("record %d does not round-trip: % x -> % x", i, raw, got)
+			}
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------

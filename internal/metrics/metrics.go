@@ -260,15 +260,17 @@ func newStateClock(now func() time.Duration, initial string) *StateClock {
 
 // Set transitions to state, charging the time since the last transition to
 // the previous state. Setting the current state is a no-op.
+//
+// Set must only be called from one goroutine (the simulation's). That makes
+// the unlocked same-state check race-free: s.state is written only here,
+// under the lock, by the goroutine doing the check, and concurrent readers
+// only read it. Most calls re-set the current state and return there.
 func (s *StateClock) Set(state string) {
-	if s == nil {
+	if s == nil || state == s.state {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if state == s.state {
-		return
-	}
 	t := s.now()
 	s.acc[s.state] += t - s.since
 	s.state, s.since = state, t

@@ -40,6 +40,7 @@ func reportBytes(t *testing.T, sc goldenscn.Scenario) []byte {
 		t.Fatalf("%s: build: %v", sc.Name, err)
 	}
 	res := n.Run()
+	netsim.CheckRunInvariants(t, n)
 	rep := n.Report(res)
 	rep.Engine.WallSec = 0
 	rep.Engine.EventsPerSec = 0
@@ -127,6 +128,7 @@ func TestGoldenReportsProfiled(t *testing.T) {
 			res := n.Run()
 			close(stop)
 			<-done
+			netsim.CheckRunInvariants(t, n)
 			rep := n.Report(res)
 			rep.Engine.WallSec = 0
 			rep.Engine.EventsPerSec = 0
@@ -190,6 +192,7 @@ func TestGoldenReportsTraced(t *testing.T) {
 			res := n.Run()
 			close(stop)
 			<-done
+			netsim.CheckRunInvariants(t, n)
 			rep := n.Report(res)
 			rep.Engine.WallSec = 0
 			rep.Engine.EventsPerSec = 0

@@ -296,8 +296,11 @@ type Station struct {
 
 // providerRef lets the CO-MAP agent's location provider be swapped after
 // construction (the in-band exchange node needs the MAC, which needs the
-// agent).
+// agent). The swap happens inside Build, before the engine runs, so nothing
+// an agent caches against the old provider's change counter survives it.
 type providerRef struct{ p loc.Provider }
+
+var _ loc.Versioned = (*providerRef)(nil)
 
 func (r *providerRef) Position(id frame.NodeID) (geom.Point, bool) {
 	if r.p == nil {
@@ -315,6 +318,15 @@ func (r *providerRef) Fix(id frame.NodeID) (loc.Fix, bool) {
 	}
 	p, ok := r.Position(id)
 	return loc.Fix{Pos: p, ReportedAt: -1}, ok
+}
+
+// Changes forwards the provider's change counter; a provider without one
+// reports ok false, so nothing is cached against it.
+func (r *providerRef) Changes() (uint64, bool) {
+	if v, ok := r.p.(loc.Versioned); ok {
+		return v.Changes()
+	}
+	return 0, false
 }
 
 // deliveredFrom returns the per-source goodput meter of this station's sink.

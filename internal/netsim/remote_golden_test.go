@@ -47,6 +47,7 @@ func TestGoldenReportsRemote(t *testing.T) {
 				t.Fatal("remote control-plane stack not attached")
 			}
 			res := n.Run()
+			netsim.CheckRunInvariants(t, n)
 			rep := n.Report(res)
 			rep.Engine.WallSec = 0
 			rep.Engine.EventsPerSec = 0

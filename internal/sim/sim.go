@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"hash/fnv"
 	"math/rand"
 	"sync/atomic"
@@ -119,7 +118,7 @@ func (e *Engine) Schedule(at time.Duration, fn func()) Handle {
 	}
 	ev.tag, ev.owner = e.curTag, e.curOwner
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	e.pending++
 	return Handle{ev: ev, gen: ev.gen}
 }
@@ -137,7 +136,7 @@ func (e *Engine) Cancel(h Handle) {
 	if !h.Active() {
 		return
 	}
-	heap.Remove(&e.queue, h.ev.index)
+	e.queue.remove(h.ev.index)
 	e.pending--
 	e.recycle(h.ev)
 }
@@ -157,10 +156,10 @@ func (e *Engine) recycle(ev *Event) {
 // firing event already report inactive inside the callback, and the slot may
 // be reused by anything the callback schedules.
 func (e *Engine) Step() bool {
-	if e.queue.Len() == 0 {
+	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*Event)
+	ev := e.queue.pop()
 	e.pending--
 	fn := ev.fn
 	at, tag, owner := ev.at, ev.tag, ev.owner
@@ -182,7 +181,7 @@ func (e *Engine) Step() bool {
 // Events scheduled beyond the deadline remain pending.
 func (e *Engine) RunUntil(deadline time.Duration) {
 	e.halted = false
-	for !e.halted && e.queue.Len() > 0 && e.queue[0].at <= deadline {
+	for !e.halted && len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.Step()
 	}
 	if !e.halted && e.Now() < deadline {
@@ -225,36 +224,92 @@ func (e *Engine) RNG(name string) *rand.Rand {
 	return rand.New(src)
 }
 
-// eventQueue is a min-heap ordered by (at, seq).
+// eventQueue is a binary min-heap of events ordered by (at, seq), with each
+// event's index kept current so Cancel can remove it in O(log n). The sift
+// logic is container/heap's, typed so no call boxes through an interface.
+// (at, seq) is a total order (seq is unique), so the dispatch order does not
+// depend on how the heap breaks ties internally.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
+func (q eventQueue) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) Swap(i, j int) {
+func (q eventQueue) swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
 	q[i].index = i
 	q[j].index = j
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
+func (q eventQueue) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		j = i
+	}
 }
 
-func (q *eventQueue) Pop() any {
+// down sifts q[i0] towards the leaves of q[:n] and reports whether it moved.
+func (q eventQueue) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (q *eventQueue) push(ev *Event) {
+	ev.index = len(*q)
+	*q = append(*q, ev)
+	q.up(ev.index)
+}
+
+// pop removes and returns the minimum event.
+func (q *eventQueue) pop() *Event {
+	n := len(*q) - 1
+	q.swap(0, n)
+	q.down(0, n)
+	return q.truncate()
+}
+
+// remove takes out the event at index i: swap it with the last slot, then
+// restore the heap property there by sifting down or, failing that, up.
+func (q *eventQueue) remove(i int) {
+	n := len(*q) - 1
+	if n != i {
+		q.swap(i, n)
+		if !q.down(i, n) {
+			q.up(i)
+		}
+	}
+	q.truncate()
+}
+
+// truncate drops and returns the last slot.
+func (q *eventQueue) truncate() *Event {
 	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	ev := old[n]
+	old[n] = nil
 	ev.index = -1
-	*q = old[:n-1]
+	*q = old[:n]
 	return ev
 }

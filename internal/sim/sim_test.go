@@ -428,11 +428,102 @@ func TestPendingIncrementalMatchesQueue(t *testing.T) {
 	if e.Pending() != len(handles)-cancelled {
 		t.Fatalf("Pending = %d, want %d", e.Pending(), len(handles)-cancelled)
 	}
-	if e.Pending() != e.queue.Len() {
-		t.Fatalf("Pending = %d but queue holds %d", e.Pending(), e.queue.Len())
+	if e.Pending() != len(e.queue) {
+		t.Fatalf("Pending = %d but queue holds %d", e.Pending(), len(e.queue))
 	}
 	e.Run()
 	if e.Pending() != 0 {
 		t.Errorf("Pending after drain = %d", e.Pending())
+	}
+}
+
+// TestQueueMatchesSortedReference drives random interleavings of Schedule,
+// Cancel (of the root, the last heap slot, a random pending event or a dead
+// handle) and Step, with many events sharing an instant, and checks every
+// dispatch against a reference that always fires the pending event with the
+// least (at, seq). Pending and the heap's index bookkeeping are checked
+// after every operation.
+func TestQueueMatchesSortedReference(t *testing.T) {
+	type ref struct {
+		at  time.Duration
+		seq int
+		h   Handle
+	}
+	for trial := int64(0); trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		e := New(trial)
+		var pending []ref // reference queue, unordered
+		var dead []Handle
+		fired := -1
+		seq := 0
+		removeRef := func(i int) ref {
+			r := pending[i]
+			pending[i] = pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
+			return r
+		}
+		for op := 0; op < 3000; op++ {
+			switch k := rng.Intn(10); {
+			case k < 5: // schedule, often at an instant already taken
+				at := e.Now() + time.Duration(rng.Intn(4)-1)*time.Microsecond
+				id := seq
+				h := e.Schedule(at, func() { fired = id })
+				if at < e.Now() {
+					at = e.Now()
+				}
+				pending = append(pending, ref{at: at, seq: seq, h: h})
+				seq++
+			case k < 7 && len(pending) > 0: // cancel root, last slot or any
+				var target *Event
+				switch rng.Intn(3) {
+				case 0:
+					target = e.queue[0]
+				case 1:
+					target = e.queue[len(e.queue)-1]
+				}
+				i := rng.Intn(len(pending))
+				if target != nil {
+					for j, r := range pending {
+						if r.h.ev == target {
+							i = j
+						}
+					}
+				}
+				r := removeRef(i)
+				e.Cancel(r.h)
+				dead = append(dead, r.h)
+			case k < 8 && len(dead) > 0: // dead handles are inert
+				e.Cancel(dead[rng.Intn(len(dead))])
+			default:
+				if len(pending) == 0 {
+					if e.Step() {
+						t.Fatalf("trial %d op %d: Step fired on an empty queue", trial, op)
+					}
+					continue
+				}
+				min := 0
+				for j, r := range pending {
+					if r.at < pending[min].at || (r.at == pending[min].at && r.seq < pending[min].seq) {
+						min = j
+					}
+				}
+				want := removeRef(min)
+				if !e.Step() || fired != want.seq || e.Now() != want.at {
+					t.Fatalf("trial %d op %d: fired %d at %v, want %d at %v", trial, op, fired, e.Now(), want.seq, want.at)
+				}
+				dead = append(dead, want.h)
+			}
+			if e.Pending() != len(pending) || len(e.queue) != len(pending) {
+				t.Fatalf("trial %d op %d: Pending %d, heap %d, want %d", trial, op, e.Pending(), len(e.queue), len(pending))
+			}
+			for i, ev := range e.queue {
+				if ev.index != i {
+					t.Fatalf("trial %d op %d: slot %d holds index %d", trial, op, i, ev.index)
+				}
+				if i > 0 && e.queue.less(i, (i-1)/2) {
+					t.Fatalf("trial %d op %d: slot %d sorts before its parent", trial, op, i)
+				}
+			}
+		}
 	}
 }
