@@ -158,7 +158,7 @@ func TestRateEconomyDeniesCripplingOverlap(t *testing.T) {
 func TestRateEconomyUnknownPositionDenies(t *testing.T) {
 	a := NewAgent(1, testbedModel(), loc.Static{1: geom.Pt(0, 0), 11: geom.Pt(8, 0)})
 	a.SetRates(dsssRates())
-	if a.rateEconomical(1, 11, 99) {
+	if a.judge.rateEconomical(a.fixFn, 1, 11, 99) {
 		t.Error("unknown interferer position must fail the economy check")
 	}
 }

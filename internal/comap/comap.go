@@ -2,7 +2,6 @@ package comap
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"time"
 
@@ -98,19 +97,16 @@ func (c *CoOccurrenceMap) InvalidateNode(id frame.NodeID) {
 // via the co-occurrence map, mac.RateCapper via position-predicted SIR, and
 // provides the hidden-terminal-aware transmission settings.
 type Agent struct {
-	id    frame.NodeID
-	model Model
-	locs  loc.Provider
-	cmap  *CoOccurrenceMap
-	rates []phy.Rate
+	id   frame.NodeID
+	locs loc.Provider
+	cmap *CoOccurrenceMap
+	// judge holds the decision inputs: the analysis model, the rate set
+	// (SetRates) and the location-health policy and clock (SetHealth).
+	judge Judge
 	// seen records when each foreign link was last observed on the air
 	// (from its discovery header); it drives persistent concurrency. Kept
 	// sorted by link (Src, then Dst), so every walk is in link order.
 	seen []seenLink
-
-	// Location-health model (zero = trust the provider unconditionally).
-	health HealthPolicy
-	now    func() time.Duration
 
 	// fixFn is the agent's provider view as a FixFunc (bound once so the
 	// hot path does not allocate a method-value closure per decision).
@@ -121,8 +117,8 @@ type Agent struct {
 	versioned loc.Versioned
 	env       []envMemo
 
-	// remote, when set, answers co-occurrence-map misses through the mapsvc
-	// control plane instead of computing in-process (see SetRemote).
+	// remote, when set, supplies every verdict through the mapsvc control
+	// plane instead of deciding in-process (see SetRemote).
 	remote RemoteVerdicts
 
 	// Telemetry (nil-safe; see SetMetrics).
@@ -148,19 +144,13 @@ type Agent struct {
 func NewAgent(id frame.NodeID, model Model, locs loc.Provider) *Agent {
 	a := &Agent{
 		id:    id,
-		model: model,
 		locs:  locs,
 		cmap:  NewCoOccurrenceMap(),
+		judge: Judge{Model: model},
 	}
 	a.fixFn = a.fixOf
 	a.versioned, _ = locs.(loc.Versioned)
 	return a
-}
-
-// judgeView snapshots the agent's decision inputs as a Judge. It is a cheap
-// value construction; the Judge shares the agent's rate slice and clock.
-func (a *Agent) judgeView() Judge {
-	return Judge{Model: a.model, Rates: a.rates, Health: a.health, Now: a.now}
 }
 
 // SetMetrics attaches a telemetry registry: discovery-header observations
@@ -189,15 +179,10 @@ func (a *Agent) SetMetrics(reg *metrics.Registry) {
 // ("co.adapt") flow into it. A nil emitter (tracing off) costs nothing.
 func (a *Agent) SetTrace(em *trace.Emitter) { a.tr = em }
 
-// emitVerdict records one concurrency-validation outcome.
-func (a *Agent) emitVerdict(ongoing Link, myDst frame.NodeID, allowed bool, provenance string) {
-	a.emitVerdictReq(ongoing, myDst, allowed, provenance, 0)
-}
-
-// emitVerdictReq is emitVerdict carrying the control-plane request ID that
-// produced the verdict (0 for local decisions and local cache hits), so
-// grant/deny events join their RPC spans.
-func (a *Agent) emitVerdictReq(ongoing Link, myDst frame.NodeID, allowed bool, provenance string, req uint64) {
+// emitVerdict records one concurrency-validation outcome. req is the
+// control-plane request ID that produced the verdict (0 for local decisions
+// and local cache hits), so grant/deny events join their RPC spans.
+func (a *Agent) emitVerdict(ongoing Link, myDst frame.NodeID, allowed bool, provenance string, req uint64) {
 	if !a.tr.Enabled() {
 		return
 	}
@@ -211,13 +196,19 @@ func (a *Agent) emitVerdictReq(ongoing Link, myDst frame.NodeID, allowed bool, p
 	})
 }
 
-// traceFallbackEvent builds the "co.fallback" record for a health-gated
-// decision on the given ongoing link while we wanted to reach myDst.
-func traceFallbackEvent(ongoing Link, myDst frame.NodeID, reason string) trace.Event {
-	return trace.Event{
-		Kind: trace.KindCoFallback, Src: ongoing.Src, Dst: ongoing.Dst,
-		OurDst: myDst, Reason: reason,
+// fallbackToDCF records one decision where the agent refused to act on
+// degraded input and behaved like plain DCF instead. reason distinguishes an
+// unhealthy fix from an unreachable control plane; req is the control-plane
+// request ID behind the decision (0 when no RPC was involved).
+func (a *Agent) fallbackToDCF(ongoing Link, myDst frame.NodeID, reason string, req uint64) {
+	a.mFallback.Inc()
+	if !a.tr.Enabled() {
+		return
 	}
+	a.tr.Emit(trace.Event{
+		Kind: trace.KindCoFallback, Src: ongoing.Src, Dst: ongoing.Dst,
+		OurDst: myDst, Reason: reason, Req: req,
+	})
 }
 
 // TraceAdaptation records a hidden-terminal packet-size/CW adaptation
@@ -316,7 +307,7 @@ func (a *Agent) ID() frame.NodeID { return a.id }
 func (a *Agent) Map() *CoOccurrenceMap { return a.cmap }
 
 // Model returns the analysis model.
-func (a *Agent) Model() Model { return a.model }
+func (a *Agent) Model() Model { return a.judge.Model }
 
 // concurrencyFloorFactor is the economy threshold for concurrent
 // transmission: overlapping is only worthwhile when each link still supports
@@ -329,46 +320,61 @@ const concurrencyFloorFactor = 0.5
 // Allowed implements mac.ConcurrencyPolicy: on detecting the ongoing
 // transmission ongoingSrc→ongoingDst, consult the co-occurrence map; on a
 // miss, validate by computation (eq. 3 both ways, plus the rate-economy
-// check when a rate set is installed) and insert the verdict.
+// check when a rate set is installed) and insert the verdict. With a control
+// plane attached (SetRemote) the verdict comes from it instead; either way
+// one switch on the verdict's source does the bookkeeping.
 func (a *Agent) Allowed(ongoingSrc, ongoingDst, myDst frame.NodeID) bool {
 	ongoing := Link{Src: ongoingSrc, Dst: ongoingDst}
-	if a.healthEnabled() {
+	if a.judge.healthEnabled() {
 		// Health gate: when any involved fix is missing or past the
 		// confidence bound, behave like plain DCF (no concurrent TX). The
 		// verdict is NOT cached — transient ill-health must not poison the
 		// persistent co-occurrence map.
-		if _, _, healthy := a.fixHealth(a.id, myDst, ongoingSrc, ongoingDst); !healthy {
-			a.fallbackToDCF(ongoing, myDst, "unhealthy_fix")
+		if _, _, healthy := a.judge.FixHealth(a.fixFn, a.id, myDst, ongoingSrc, ongoingDst); !healthy {
+			a.fallbackToDCF(ongoing, myDst, "unhealthy_fix", 0)
 			return false
 		}
 	}
-	if a.remote != nil {
-		return a.remoteAllowed(ongoing, myDst)
+	cachedAllowed, found := a.cmap.Lookup(ongoing, myDst)
+	var v RemoteVerdict
+	switch {
+	case a.remote != nil:
+		v = a.remote.Verdict(a.id, ongoing, myDst, cachedAllowed, found)
+	case found:
+		v = RemoteVerdict{Source: RemoteCachedFresh, Allowed: cachedAllowed}
+	default:
+		v = RemoteVerdict{Source: RemoteValidated, Allowed: a.judge.Decide(a.fixFn, a.id, ongoing, myDst)}
 	}
-	if allowed, found := a.cmap.Lookup(ongoing, myDst); found {
+	switch v.Source {
+	case RemoteCachedFresh:
 		a.mHit.Inc()
-		a.emitVerdict(ongoing, myDst, allowed, "cached")
-		return allowed
+		a.emitVerdict(ongoing, myDst, v.Allowed, "cached", v.Req)
+		return v.Allowed
+	case RemoteValidated:
+		a.mMiss.Inc()
+		if v.Unhealthy {
+			a.fallbackToDCF(ongoing, myDst, "unhealthy_fix", v.Req)
+			return false
+		}
+		a.cmap.Insert(ongoing, myDst, v.Allowed)
+		if v.Allowed {
+			a.mAllow.Inc()
+		} else {
+			a.mDeny.Inc()
+		}
+		a.mMapSize.Set(float64(a.cmap.Len()))
+		a.emitVerdict(ongoing, myDst, v.Allowed, "validated", v.Req)
+		return v.Allowed
+	case RemoteStale:
+		a.emitVerdict(ongoing, myDst, v.Allowed, "stale", v.Req)
+		return v.Allowed
+	case RemoteCoarse:
+		a.emitVerdict(ongoing, myDst, v.Allowed, "coarse", v.Req)
+		return v.Allowed
+	default:
+		a.fallbackToDCF(ongoing, myDst, "control_plane_down", v.Req)
+		return false
 	}
-	a.mMiss.Inc()
-	allowed := a.judgeView().Decide(a.fixFn, a.id, ongoing, myDst)
-	a.cmap.Insert(ongoing, myDst, allowed)
-	if allowed {
-		a.mAllow.Inc()
-	} else {
-		a.mDeny.Inc()
-	}
-	a.mMapSize.Set(float64(a.cmap.Len()))
-	a.emitVerdict(ongoing, myDst, allowed, "validated")
-	return allowed
-}
-
-// rateEconomical reports whether the link src→dst, under interference from
-// interferer, still supports at least concurrencyFloorFactor of the bitrate
-// it would sustain alone (the computation lives on Judge so the mapsvc
-// control plane runs the identical code).
-func (a *Agent) rateEconomical(src, dst, interferer frame.NodeID) bool {
-	return a.judgeView().rateEconomical(a.fixFn, src, dst, interferer)
 }
 
 // minWorstCaseMeters floors worst-case interferer distance so error radii
@@ -396,8 +402,7 @@ func (a *Agent) OnStationChanged(id frame.NodeID) {
 
 // SetRates installs the PHY rate set used by CapRate. The slice is copied.
 func (a *Agent) SetRates(rates []phy.Rate) {
-	a.rates = make([]phy.Rate, len(rates))
-	copy(a.rates, rates)
+	a.judge.Rates = slices.Clone(rates)
 }
 
 // CapRate implements mac.RateCapper: while the ongoing link is on the air,
@@ -408,56 +413,30 @@ func (a *Agent) SetRates(rates []phy.Rate) {
 // simultaneously with a higher data rate if it is located further away",
 // paper §VI-A).
 func (a *Agent) CapRate(ongoingSrc, _ /*ongoingDst*/, myDst frame.NodeID, chosen phy.Rate) phy.Rate {
-	if len(a.rates) == 0 {
+	if len(a.judge.Rates) == 0 {
 		return chosen
 	}
-	fme, ok1 := a.fixOf(a.id)
-	frx, ok2 := a.fixOf(myDst)
-	fit, ok3 := a.fixOf(ongoingSrc)
-	if !ok1 || !ok2 || !ok3 {
-		if a.healthEnabled() {
-			// Degraded mode: a missing fix means the SIR prediction is
-			// meaningless; the validated-at-lowest-rate fallback is safe.
-			return a.slowestRate()
+	sir, _, ok := a.judge.predictSIR(a.fixFn, a.id, myDst, ongoingSrc)
+	if !ok {
+		if !a.judge.healthEnabled() {
+			// Only a missing fix fails the prediction with gating off:
+			// trust the rate controller, as without CO-MAP.
+			return chosen
 		}
-		return chosen
+		// Degraded mode: a missing or unhealthy fix makes the SIR
+		// prediction meaningless; the validated-at-lowest-rate fallback
+		// is safe.
+		return a.judge.slowestRate()
 	}
-	age, _, healthy := a.fixHealth(a.id, myDst, ongoingSrc)
-	if !healthy {
-		return a.slowestRate()
-	}
-	d := fme.Pos.DistanceTo(frx.Pos)
-	r := fit.Pos.DistanceTo(frx.Pos)
-	if a.useWorstCaseGeometry() {
-		d += fme.ErrorRadiusMeters + frx.ErrorRadiusMeters
-		r -= fit.ErrorRadiusMeters + frx.ErrorRadiusMeters
-		if r < minWorstCaseMeters {
-			r = minWorstCaseMeters
-		}
-	}
-	// Equal transmit powers: mean SIR is the path-loss difference.
-	sir := a.model.Prop.PathLossDB(r) - a.model.Prop.PathLossDB(d)
-	margin := math.Sqrt2*a.model.Prop.SigmaDB + a.stalenessMarginDB(age)
-
-	best := a.slowestRate()
-	for _, rt := range a.rates {
-		if rt.MinSIRdB <= sir-margin &&
+	best := a.judge.slowestRate()
+	for _, rt := range a.judge.Rates {
+		if rt.MinSIRdB <= sir &&
 			rt.BitsPerSec > best.BitsPerSec &&
 			rt.BitsPerSec <= chosen.BitsPerSec {
 			best = rt
 		}
 	}
 	return best
-}
-
-func (a *Agent) slowestRate() phy.Rate {
-	slow := a.rates[0]
-	for _, r := range a.rates[1:] {
-		if r.BitsPerSec < slow.BitsPerSec {
-			slow = r
-		}
-	}
-	return slow
 }
 
 // CountEnvironment returns the number of potential hidden terminals and
@@ -467,8 +446,8 @@ func (a *Agent) slowestRate() phy.Rate {
 // h=0 defaults), and candidates with unhealthy fixes are excluded rather
 // than counted from garbage coordinates.
 func (a *Agent) CountEnvironment(dst frame.NodeID, candidates []frame.NodeID) (hidden, contenders int) {
-	if a.healthEnabled() {
-		if _, _, healthy := a.fixHealth(a.id, dst); !healthy {
+	if a.judge.healthEnabled() {
+		if _, _, healthy := a.judge.FixHealth(a.fixFn, a.id, dst); !healthy {
 			a.mFallbackAdapt.Inc()
 			a.mEnvHidden.Set(0)
 			a.mEnvCont.Set(0)
@@ -526,8 +505,8 @@ func (a *Agent) memoEnvironment(dst frame.NodeID, candidates []frame.NodeID) (hi
 
 // countEnvironment evaluates the hidden-terminal and contention models.
 func (a *Agent) countEnvironment(dst frame.NodeID, candidates []frame.NodeID) (hidden, contenders int) {
-	hidden = len(a.model.HiddenTerminals(a.locs, a.id, dst, candidates))
-	contenders = len(a.model.Contenders(a.locs, a.id, candidates))
+	hidden = len(a.judge.Model.HiddenTerminals(a.locs, a.id, dst, candidates))
+	contenders = len(a.judge.Model.Contenders(a.locs, a.id, candidates))
 	return hidden, contenders
 }
 
@@ -535,7 +514,7 @@ func (a *Agent) countEnvironment(dst frame.NodeID, candidates []frame.NodeID) (h
 func (a *Agent) healthyOnly(ids []frame.NodeID) []frame.NodeID {
 	out := make([]frame.NodeID, 0, len(ids))
 	for _, id := range ids {
-		if _, _, healthy := a.fixHealth(id); healthy {
+		if _, _, healthy := a.judge.FixHealth(a.fixFn, id); healthy {
 			out = append(out, id)
 		}
 	}

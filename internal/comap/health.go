@@ -46,91 +46,22 @@ func (h HealthPolicy) Enabled() bool { return h.MaxFixAge > 0 }
 // fix-age computation; a zero policy (or nil clock) disables gating and
 // restores the oracle-trusting behavior.
 func (a *Agent) SetHealth(p HealthPolicy, now func() time.Duration) {
-	a.health = p
-	a.now = now
+	a.judge.Health = p
+	a.judge.Now = now
 }
 
 // Health returns the active policy (zero when disabled).
-func (a *Agent) Health() HealthPolicy { return a.health }
-
-// healthEnabled reports whether health gating is live.
-func (a *Agent) healthEnabled() bool { return a.health.Enabled() && a.now != nil }
+func (a *Agent) Health() HealthPolicy { return a.judge.Health }
 
 // fixOf resolves a peer's fix through the provider. Providers without fix
 // metadata (plain loc.Provider) are treated as always-fresh oracles with no
-// reported error: their fixes carry a negative ReportedAt, which fixHealth
-// reads as age zero rather than an age growing with the sim clock.
+// reported error: their fixes carry a negative ReportedAt, which
+// Judge.FixHealth reads as age zero rather than an age growing with the sim
+// clock.
 func (a *Agent) fixOf(id frame.NodeID) (loc.Fix, bool) {
 	if fp, ok := a.locs.(loc.FixProvider); ok {
 		return fp.Fix(id)
 	}
 	p, ok := a.locs.Position(id)
 	return loc.Fix{Pos: p, ReportedAt: -1}, ok
-}
-
-// fixHealth summarises the health of the fixes of the given peers: the
-// oldest age and largest error radius among them. healthy is false when any
-// peer has no fix or a fix older than the confidence bound. With health
-// gating disabled it always reports healthy with zero age.
-func (a *Agent) fixHealth(ids ...frame.NodeID) (maxAge time.Duration, maxErr float64, healthy bool) {
-	if !a.healthEnabled() {
-		return 0, 0, true
-	}
-	now := a.now()
-	healthy = true
-	for _, id := range ids {
-		fix, ok := a.fixOf(id)
-		if !ok {
-			return maxAge, maxErr, false
-		}
-		var age time.Duration
-		if fix.ReportedAt >= 0 {
-			age = now - fix.ReportedAt
-			if age < 0 {
-				age = 0
-			}
-		}
-		if age > maxAge {
-			maxAge = age
-		}
-		if fix.ErrorRadiusMeters > maxErr {
-			maxErr = fix.ErrorRadiusMeters
-		}
-		if age > a.health.MaxFixAge {
-			healthy = false
-		}
-	}
-	return maxAge, maxErr, healthy
-}
-
-// stalenessMarginDB converts a fix age into extra SIR margin.
-func (a *Agent) stalenessMarginDB(age time.Duration) float64 {
-	if !a.healthEnabled() {
-		return 0
-	}
-	return a.health.StalenessMarginDBPerSec * age.Seconds()
-}
-
-// useWorstCaseGeometry reports whether link geometry should be evaluated at
-// worst-case distances derived from the fixes' reported error radii.
-func (a *Agent) useWorstCaseGeometry() bool {
-	return a.healthEnabled() && a.health.UseErrorRadius
-}
-
-// fallbackToDCF records one health-gated fallback decision: the agent
-// refused to act on degraded location input and behaved like plain DCF
-// instead. reason distinguishes a missing fix from a stale one.
-func (a *Agent) fallbackToDCF(ongoing Link, myDst frame.NodeID, reason string) {
-	a.fallbackToDCFReq(ongoing, myDst, reason, 0)
-}
-
-// fallbackToDCFReq is fallbackToDCF carrying the control-plane request ID
-// behind the decision (0 when no RPC was involved).
-func (a *Agent) fallbackToDCFReq(ongoing Link, myDst frame.NodeID, reason string, req uint64) {
-	a.mFallback.Inc()
-	if a.tr.Enabled() {
-		e := traceFallbackEvent(ongoing, myDst, reason)
-		e.Req = req
-		a.tr.Emit(e)
-	}
 }

@@ -116,7 +116,7 @@ func TestOracleProviderNeverGoesStale(t *testing.T) {
 func TestHealthDisabledKeepsOracleBehavior(t *testing.T) {
 	// Ancient fixes, but no health policy: the agent trusts them.
 	a := NewAgent(2, testbedModel(), separatedFixes(0))
-	a.now = func() time.Duration { return time.Hour }
+	a.judge.Now = func() time.Duration { return time.Hour }
 	if !a.Allowed(1, 10, 11) {
 		t.Error("without a policy, fix age must not matter")
 	}
@@ -158,6 +158,13 @@ func TestCapRateStaleFixFallsBackToSlowestRate(t *testing.T) {
 	fixes[2] = loc.Fix{Pos: geom.Pt(208, 0), ReportedAt: now}
 	if got := a.CapRate(2, 99, 11, phy.RateDSSS11); got != phy.RateDSSS11 {
 		t.Errorf("fresh far interferer capped at %v, want 11M", got)
+	}
+	// Gating on, interferer fix missing: the slowest rate too (with gating
+	// off the same input keeps the chosen rate; see
+	// TestCapRateUnknownPositionPassesThrough).
+	delete(fixes, 2)
+	if got := a.CapRate(2, 99, 11, phy.RateDSSS11); got != phy.RateDSSS1 {
+		t.Errorf("missing interferer fix capped at %v, want the slowest rate", got)
 	}
 }
 

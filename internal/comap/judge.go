@@ -29,8 +29,9 @@ func (v fixView) Position(id frame.NodeID) (geom.Point, bool) {
 // Judge is the pure ET/HT verdict calculator extracted from Agent: the
 // paper's eq.-(3) coexistence validation, the rate-economy refinement, and
 // the location-health gating, all over an abstract fix table. It holds no
-// mutable state — Agent wraps one around its own fields per decision, and
-// mapsvc.Service evaluates the same Judge against its ingested fixes.
+// mutable state — Agent decides through its own Judge over its provider's
+// fixes, and mapsvc.Service evaluates the same Judge against its ingested
+// fixes.
 type Judge struct {
 	Model  Model
 	Rates  []phy.Rate
@@ -105,35 +106,48 @@ func (j Judge) rateEconomical(fixes FixFunc, src, dst, interferer frame.NodeID) 
 	if len(j.Rates) == 0 {
 		return true
 	}
+	sir, d, ok := j.predictSIR(fixes, src, dst, interferer)
+	if !ok {
+		return false
+	}
+	capped, ok := j.fastestForSIR(sir)
+	if !ok {
+		return false
+	}
+	alone := j.fastestAlone(d)
+	return capped.BitsPerSec >= concurrencyFloorFactor*alone.BitsPerSec
+}
+
+// predictSIR is the position-predicted mean SIR at dst of the link src→dst
+// under interference from interferer, less the safety margin: one composite
+// shadowing deviation (√2·σ) plus the staleness margin of the oldest fix.
+// Equal transmit powers make the mean SIR the path-loss difference. Under
+// worst-case geometry the own link is lengthened and the interferer pulled
+// in by the reported error radii; d is the link distance so evaluated. ok is
+// false when any of the three fixes is missing or unhealthy.
+func (j Judge) predictSIR(fixes FixFunc, src, dst, interferer frame.NodeID) (sirDB, d float64, ok bool) {
 	fs, ok1 := fixes(src)
 	fd, ok2 := fixes(dst)
 	fi, ok3 := fixes(interferer)
 	if !ok1 || !ok2 || !ok3 {
-		return false
+		return 0, 0, false
 	}
-	d := fs.Pos.DistanceTo(fd.Pos)
+	age, _, healthy := j.FixHealth(fixes, src, dst, interferer)
+	if !healthy {
+		return 0, 0, false
+	}
+	d = fs.Pos.DistanceTo(fd.Pos)
 	r := fi.Pos.DistanceTo(fd.Pos)
 	if j.useWorstCase() {
-		// Worst case within the reported error radii: own link longer,
-		// interferer closer to the receiver.
 		d += fs.ErrorRadiusMeters + fd.ErrorRadiusMeters
 		r -= fi.ErrorRadiusMeters + fd.ErrorRadiusMeters
 		if r < minWorstCaseMeters {
 			r = minWorstCaseMeters
 		}
 	}
-	age, _, healthy := j.FixHealth(fixes, src, dst, interferer)
-	if !healthy {
-		return false
-	}
 	sir := j.Model.Prop.PathLossDB(r) - j.Model.Prop.PathLossDB(d)
 	margin := math.Sqrt2*j.Model.Prop.SigmaDB + j.StalenessMarginDB(age)
-	capped, ok := j.fastestForSIR(sir - margin)
-	if !ok {
-		return false
-	}
-	alone := j.fastestAlone(d)
-	return capped.BitsPerSec >= concurrencyFloorFactor*alone.BitsPerSec
+	return sir - margin, d, true
 }
 
 // fastestForSIR returns the fastest rate decodable at the given SIR margin.

@@ -42,56 +42,21 @@ type RemoteVerdict struct {
 }
 
 // RemoteVerdicts is the control-plane client interface (mapsvc.Client).
-// cached exposes the agent's local co-occurrence map lookup to the client;
-// the client MUST call it exactly once per Verdict — the lookup mutates the
-// map's hit/miss counters, which are part of the deterministic state digest.
+// cachedAllowed and found are the agent's one co-occurrence-map lookup for
+// the decision: the lookup mutates the map's hit/miss counters, which are
+// part of the deterministic state digest, so the agent makes it exactly once
+// and hands the client its result.
 type RemoteVerdicts interface {
-	Verdict(observer frame.NodeID, ongoing Link, myDst frame.NodeID, cached func() (allowed, found bool)) RemoteVerdict
+	Verdict(observer frame.NodeID, ongoing Link, myDst frame.NodeID, cachedAllowed, found bool) RemoteVerdict
 }
 
-// SetRemote routes co-occurrence-map misses through the mapsvc control
-// plane. The local map stays authoritative for hits (it is part of the
-// agent's digested state); the remote service is consulted only when the
-// local map has no verdict, and its answer is inserted exactly like a local
-// validation. Nil restores fully in-process operation.
+// SetRemote routes every verdict through the mapsvc control plane. The local
+// map stays the agent's digested state: the agent looks the decision up in
+// it and hands the result to the client, which answers from it while the
+// control plane is healthy; a validated answer is inserted exactly like a
+// local validation. At a zero-fault spec the client answers only
+// CachedFresh/Validated, making counters, trace events and map state
+// byte-identical to in-process decisions; the degraded sources only appear
+// once RPC faults push the client down the ladder. Nil restores fully
+// in-process operation.
 func (a *Agent) SetRemote(r RemoteVerdicts) { a.remote = r }
-
-// remoteAllowed is the remote-mode decision path. At a zero-fault spec the
-// client answers only CachedFresh/Validated, making counters, trace events
-// and map state byte-identical to the in-process oracle; the degraded
-// sources only appear once RPC faults push the client down the ladder.
-func (a *Agent) remoteAllowed(ongoing Link, myDst frame.NodeID) bool {
-	v := a.remote.Verdict(a.id, ongoing, myDst, func() (bool, bool) {
-		return a.cmap.Lookup(ongoing, myDst)
-	})
-	switch v.Source {
-	case RemoteCachedFresh:
-		a.mHit.Inc()
-		a.emitVerdictReq(ongoing, myDst, v.Allowed, "cached", v.Req)
-		return v.Allowed
-	case RemoteValidated:
-		a.mMiss.Inc()
-		if v.Unhealthy {
-			a.fallbackToDCFReq(ongoing, myDst, "unhealthy_fix", v.Req)
-			return false
-		}
-		a.cmap.Insert(ongoing, myDst, v.Allowed)
-		if v.Allowed {
-			a.mAllow.Inc()
-		} else {
-			a.mDeny.Inc()
-		}
-		a.mMapSize.Set(float64(a.cmap.Len()))
-		a.emitVerdictReq(ongoing, myDst, v.Allowed, "validated", v.Req)
-		return v.Allowed
-	case RemoteStale:
-		a.emitVerdictReq(ongoing, myDst, v.Allowed, "stale", v.Req)
-		return v.Allowed
-	case RemoteCoarse:
-		a.emitVerdictReq(ongoing, myDst, v.Allowed, "coarse", v.Req)
-		return v.Allowed
-	default:
-		a.fallbackToDCFReq(ongoing, myDst, "control_plane_down", v.Req)
-		return false
-	}
-}

@@ -2,6 +2,7 @@ package mapsvc
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -260,9 +261,11 @@ func (c *Client) AdoptEpoch(epoch uint64) {
 	c.mu.Unlock()
 }
 
-// Verdict implements comap.RemoteVerdicts. cached is called exactly once.
-func (c *Client) Verdict(observer frame.NodeID, ongoing comap.Link, myDst frame.NodeID, cached func() (allowed, found bool)) comap.RemoteVerdict {
-	cachedAllowed, found := cached()
+// Verdict implements comap.RemoteVerdicts: cachedAllowed and found are the
+// agent's co-occurrence-map lookup for the decision. A hit on a closed
+// breaker is served from it under one lock; everything else asks the
+// control plane and, when that fails, degrades down the ladder.
+func (c *Client) Verdict(observer frame.NodeID, ongoing comap.Link, myDst frame.NodeID, cachedAllowed, found bool) comap.RemoteVerdict {
 	key := Key{Observer: observer, Ongoing: ongoing, MyDst: myDst}
 	now := c.cfg.Now()
 
@@ -839,7 +842,7 @@ func (c *Client) doResync() {
 	fn := c.resyncFn
 	c.mu.Unlock()
 
-	sortNodeIDs(invals)
+	slices.Sort(invals)
 	if all {
 		c.fire(&Request{Op: OpInvalidateAll}, func() { c.pendingInvalAll = true })
 	}
@@ -855,14 +858,6 @@ func (c *Client) doResync() {
 	c.mu.Lock()
 	c.resyncing = false
 	c.mu.Unlock()
-}
-
-func sortNodeIDs(ids []frame.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 // ClientStatus is a race-safe snapshot for /healthz.

@@ -567,15 +567,13 @@ func clientHarness(cfg ClientConfig) (*Client, *scriptTransport, *fakeClock) {
 	return c, tr, fc
 }
 
-func notFound() (bool, bool) { return false, false }
-
 func verdictKey(obs frame.NodeID) Key {
 	return Key{Observer: obs, Ongoing: comap.Link{Src: 1, Dst: 2}, MyDst: frame.NodeID(obs + 1)}
 }
 
 func askRemote(c *Client, obs frame.NodeID) comap.RemoteVerdict {
 	k := verdictKey(obs)
-	return c.Verdict(k.Observer, k.Ongoing, k.MyDst, notFound)
+	return c.Verdict(k.Observer, k.Ongoing, k.MyDst, false, false)
 }
 
 func TestClientFreshInlineAndCachedFresh(t *testing.T) {
@@ -589,7 +587,7 @@ func TestClientFreshInlineAndCachedFresh(t *testing.T) {
 	// With the map hit present and the breaker closed, the client must not
 	// call the service again.
 	k := verdictKey(3)
-	v = c.Verdict(k.Observer, k.Ongoing, k.MyDst, func() (bool, bool) { return true, true })
+	v = c.Verdict(k.Observer, k.Ongoing, k.MyDst, true, true)
 	if v.Source != comap.RemoteCachedFresh || !v.Allowed {
 		t.Fatalf("cached-fresh verdict = %+v", v)
 	}
@@ -752,12 +750,12 @@ func TestClientLadderStaleCoarseDCF(t *testing.T) {
 	}
 	// No cache entry, but coarse geometry over the local registry clears the
 	// far pairing.
-	v = c.Verdict(farKey.Observer, farKey.Ongoing, farKey.MyDst, notFound)
+	v = c.Verdict(farKey.Observer, farKey.Ongoing, farKey.MyDst, false, false)
 	if v.Source != comap.RemoteCoarse || !v.Allowed {
 		t.Fatalf("coarse verdict = %+v, want coarse allow", v)
 	}
 	// The hopeless interferer is denied even at the coarse rung: DCF.
-	v = c.Verdict(nearKey.Observer, nearKey.Ongoing, nearKey.MyDst, notFound)
+	v = c.Verdict(nearKey.Observer, nearKey.Ongoing, nearKey.MyDst, false, false)
 	if v.Source != comap.RemoteUnavailable {
 		t.Fatalf("near coarse verdict = %+v, want the DCF floor", v)
 	}

@@ -259,3 +259,36 @@ func TestPositionErrorStillRuns(t *testing.T) {
 		t.Error("zero goodput with position error")
 	}
 }
+
+// TestComapMapHitAllocatesNothing pins the co-occurrence-map hit path at
+// zero allocations, both in-process and through the zero-fault control
+// plane: the hit is the per-frame case of Agent.Allowed.
+func TestComapMapHitAllocatesNothing(t *testing.T) {
+	for _, remote := range []bool{false, true} {
+		opts := TestbedOptions()
+		opts.Seed = 3
+		opts.Protocol = ProtocolComap
+		opts.ComapRemote = remote
+		opts.Duration = 200 * time.Millisecond
+		n, err := Build(topology.ETSweep(30), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Run()
+		if remote != (n.MapClient != nil) {
+			t.Fatalf("remote=%v but control-plane client attached=%v", remote, n.MapClient != nil)
+		}
+		a := n.Stations[topology.C2].Agent
+		a.Allowed(topology.C1, topology.AP1, topology.AP2) // make sure the verdict is in the map
+		hits := a.Map().Hits()
+		allocs := testing.AllocsPerRun(100, func() {
+			a.Allowed(topology.C1, topology.AP1, topology.AP2)
+		})
+		if got := a.Map().Hits() - hits; got != 101 {
+			t.Fatalf("remote=%v: %d map hits over 101 calls, want every call a hit", remote, got)
+		}
+		if allocs != 0 {
+			t.Errorf("remote=%v: map hit allocates %v times per call, want 0", remote, allocs)
+		}
+	}
+}

@@ -128,3 +128,38 @@ func TestSynthesizeCityTraceDeterministicAndDisjoint(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseLocTrace checks the .loc parser never panics and that every
+// trace it accepts survives WriteTo and a second parse unchanged.
+func FuzzParseLocTrace(f *testing.F) {
+	f.Add("# comment, then a blank line\n\n500ms move 1001 12.5 -3\n1s leave 1002\n2s join 1002\n250ms move 1003 0 0\n")
+	for _, src := range []string{
+		"1s move\n", "xyz move 1 0 0\n", "-1s move 1 0 0\n", "1s move 99999 0 0\n",
+		"1s teleport 1\n", "1s move 1 5\n", "1s leave 1 5\n", "1s move 1 NaN 0\n",
+		"# ok\n1s move 1 0 0\nbroken\n",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		tr, err := ParseLocTrace(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		var sb strings.Builder
+		if _, err := tr.WriteTo(&sb); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseLocTrace(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatalf("reparse of %q: %v", sb.String(), err)
+		}
+		if len(back.Events) != len(tr.Events) {
+			t.Fatalf("round trip changed event count: %d != %d", len(back.Events), len(tr.Events))
+		}
+		for i := range tr.Events {
+			if tr.Events[i] != back.Events[i] {
+				t.Fatalf("event %d changed: %+v != %+v", i, tr.Events[i], back.Events[i])
+			}
+		}
+	})
+}
