@@ -2,6 +2,8 @@ package audit
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -186,4 +188,35 @@ func TestHeadSnapshot(t *testing.T) {
 	if !h.Finished || h.Events != 4 || h.Chains["mac"] == "" {
 		t.Fatalf("finished head wrong: %+v", h)
 	}
+}
+
+// FuzzRead feeds arbitrary JSONL to the ledger reader, seeded from the
+// netsim golden ledgers: whole files, and the manifest with each single
+// record line. Read must reject bad input with an error, never a panic, and
+// every ledger it accepts must compare equal to itself.
+func FuzzRead(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "netsim", "testdata", "golden_ledger_*.jsonl"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no golden ledgers to seed from (err %v)", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		for _, line := range lines[1:] {
+			f.Add(append(append([]byte{}, lines[0]...), line...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lf, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if d := Compare(lf, lf); d != nil {
+			t.Fatalf("accepted ledger differs from itself: %s", d)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package comap
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -13,8 +14,9 @@ import (
 	"repro/internal/sim"
 )
 
-// buildLink wires two stations at the given separation with CO-MAP endpoints.
-func buildLink(seed int64, sigmaDB, dist float64) (eng *sim.Engine, tx, rx *Endpoint) {
+// buildLink wires two stations at the given separation with CO-MAP endpoints
+// using the given selective-repeat window.
+func buildLink(seed int64, sigmaDB, dist float64, window int) (eng *sim.Engine, tx, rx *Endpoint) {
 	eng = sim.New(seed)
 	medium := channel.NewMedium(eng, radio.NewLogNormal2400(2.9, sigmaDB), -95)
 	cfg := mac.Config{
@@ -27,39 +29,50 @@ func buildLink(seed int64, sigmaDB, dist float64) (eng *sim.Engine, tx, rx *Endp
 		tr := medium.AddNode(id, pos, 0, nil)
 		m := mac.New(eng, tr, cfg)
 		tr.SetListener(m)
-		return NewEndpoint(eng, m, 8)
+		return NewEndpoint(eng, m, window)
 	}
 	tx = mk(1, geom.Pt(0, 0))
 	rx = mk(2, geom.Pt(dist, 0))
 	return eng, tx, rx
 }
 
+// TestEndpointSaturatedStreamDelivers runs a saturated stream over a clean
+// link with the default window and with a window of one, which still
+// delivers, just with more head-of-line stalling.
 func TestEndpointSaturatedStreamDelivers(t *testing.T) {
-	eng, tx, rx := buildLink(1, 0, 10)
-	tx.StartStream(2, func() int { return 1000 })
-	eng.RunUntil(time.Second)
+	for _, tc := range []struct {
+		window  int
+		minMbps float64 // goodput floor on the clean 1 Mbps link
+	}{
+		{window: 8, minMbps: 0.5},
+		{window: 1},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("window-%d", tc.window), func(t *testing.T) {
+			eng, tx, rx := buildLink(1, 0, 10, tc.window)
+			tx.StartStream(2, func() int { return 1000 })
+			eng.RunUntil(time.Second)
 
-	if rx.Delivered().Frames() == 0 {
-		t.Fatal("no frames delivered")
-	}
-	// Clean link at 1 Mbps: goodput should be a decent fraction of the
-	// channel rate.
-	mbps := rx.Delivered().Mbps(time.Second)
-	if mbps < 0.5 {
-		t.Errorf("goodput = %v Mbps, want > 0.5 on a clean 1 Mbps link", mbps)
-	}
-	// The sender's ARQ should have learned about the deliveries.
-	if tx.Sender().Acked() == 0 {
-		t.Error("sender never saw an SR ACK")
-	}
-	if tx.Sender().Dropped() != 0 {
-		t.Errorf("clean link dropped %d frames", tx.Sender().Dropped())
+			if rx.Delivered().Frames() == 0 {
+				t.Fatal("no frames delivered")
+			}
+			if mbps := rx.Delivered().Mbps(time.Second); mbps < tc.minMbps {
+				t.Errorf("goodput = %v Mbps, want > %v", mbps, tc.minMbps)
+			}
+			// The sender's ARQ should have learned about the deliveries.
+			if tx.Sender().Acked() == 0 {
+				t.Error("sender never saw an SR ACK")
+			}
+			if tx.Sender().Dropped() != 0 {
+				t.Errorf("clean link dropped %d frames", tx.Sender().Dropped())
+			}
+		})
 	}
 }
 
 func TestEndpointDeliveredCountsUniqueOnly(t *testing.T) {
 	// Marginal link with shadowing: many losses and retransmissions.
-	eng, tx, rx := buildLink(2, 4, 68)
+	eng, tx, rx := buildLink(2, 4, 68, 8)
 	tx.StartStream(2, func() int { return 500 })
 	eng.RunUntil(2 * time.Second)
 
@@ -78,7 +91,7 @@ func TestEndpointDeliveredCountsUniqueOnly(t *testing.T) {
 }
 
 func TestEndpointSRAckUsed(t *testing.T) {
-	eng, tx, rx := buildLink(3, 0, 10)
+	eng, tx, rx := buildLink(3, 0, 10, 8)
 	deliveredSeqs := make(map[uint16]bool)
 	rx.OnDeliver(func(f frame.Frame) {
 		if deliveredSeqs[f.Seq] {
@@ -97,7 +110,7 @@ func TestEndpointSRAckUsed(t *testing.T) {
 }
 
 func TestEndpointCBRStreamRespectsRate(t *testing.T) {
-	eng, tx, rx := buildLink(4, 0, 10)
+	eng, tx, rx := buildLink(4, 0, 10, 8)
 	const offered = 200_000.0 // 200 kbps over a 1 Mbps channel
 	tx.StartCBRStream(2, func() int { return 500 }, offered)
 	eng.RunUntil(2 * time.Second)
@@ -112,7 +125,7 @@ func TestEndpointCBRStreamRespectsRate(t *testing.T) {
 }
 
 func TestEndpointStopStream(t *testing.T) {
-	eng, tx, rx := buildLink(5, 0, 10)
+	eng, tx, rx := buildLink(5, 0, 10, 8)
 	tx.StartStream(2, func() int { return 500 })
 	eng.RunUntil(100 * time.Millisecond)
 	tx.StopStream()
@@ -126,7 +139,7 @@ func TestEndpointStopStream(t *testing.T) {
 }
 
 func TestEndpointPayloadFunctionConsultedPerFrame(t *testing.T) {
-	eng, tx, rx := buildLink(6, 0, 10)
+	eng, tx, rx := buildLink(6, 0, 10, 8)
 	sizes := []int{1400, 1000, 600, 200}
 	i := 0
 	tx.StartStream(2, func() int {
@@ -145,7 +158,7 @@ func TestEndpointPayloadFunctionConsultedPerFrame(t *testing.T) {
 }
 
 func TestEndpointTwoWayTraffic(t *testing.T) {
-	eng, a, b := buildLink(7, 0, 10)
+	eng, a, b := buildLink(7, 0, 10, 8)
 	a.StartStream(2, func() int { return 700 })
 	b.StartStream(1, func() int { return 700 })
 	eng.RunUntil(time.Second)

@@ -27,7 +27,7 @@ func TestSnapshotConcurrentWithWriters(t *testing.T) {
 	// each touching every instrument class, with the sampler ticking at
 	// 1 ms.
 	sampler := NewSampler(eng, time.Millisecond)
-	ser := sampler.Track("flow.bytes", func() float64 { return float64(c.Value()) })
+	ser := sampler.Track(func() float64 { return float64(c.Value()) })
 	sampler.Start()
 	states := []string{"tx", "busy", "idle", "backoff"}
 	var tick func()
@@ -64,7 +64,7 @@ func TestSnapshotConcurrentWithWriters(t *testing.T) {
 				pw := NewPromWriter()
 				pw.Add(map[string]string{"source": "s"}, snap)
 				// Series reads race with sampler appends without locking.
-				ser.Points()
+				ser.Samples()
 				// Instrument-level reads used by /healthz and /runs.
 				c.Value()
 				tm.Quantile(0.9)

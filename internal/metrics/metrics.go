@@ -340,26 +340,32 @@ func NewRegistry() *Registry {
 	}
 }
 
+// instrument returns m[name], creating it with mk on first use. A hit
+// takes only the read lock and allocates nothing.
+func instrument[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
+	r.mu.RLock()
+	v, ok := m[name]
+	r.mu.RUnlock()
+	if ok {
+		return v
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v, ok := m[name]; ok {
+		return v
+	}
+	v = mk()
+	m[name] = v
+	return v
+}
+
 // Counter returns the named counter, creating it on first use. A nil
 // registry returns a nil (no-op) counter.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
+	return instrument(r, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -367,20 +373,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
+	return instrument(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Dist returns the named distribution, creating it on first use.
@@ -388,20 +381,7 @@ func (r *Registry) Dist(name string) *Dist {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	d, ok := r.dists[name]
-	r.mu.RUnlock()
-	if ok {
-		return d
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if d, ok := r.dists[name]; ok {
-		return d
-	}
-	d = &Dist{}
-	r.dists[name] = d
-	return d
+	return instrument(r, r.dists, name, func() *Dist { return &Dist{} })
 }
 
 // Timing returns the named duration distribution with the default histogram
@@ -417,20 +397,7 @@ func (r *Registry) TimingBuckets(name string, lo, hi time.Duration, bins int) *T
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	t, ok := r.timings[name]
-	r.mu.RUnlock()
-	if ok {
-		return t
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t, ok := r.timings[name]; ok {
-		return t
-	}
-	t = newTiming(lo, hi, bins)
-	r.timings[name] = t
-	return t
+	return instrument(r, r.timings, name, func() *Timing { return newTiming(lo, hi, bins) })
 }
 
 // StateClock returns the named state clock, creating it on first use in the
@@ -439,20 +406,7 @@ func (r *Registry) StateClock(name string, now func() time.Duration, initial str
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c, ok := r.clocks[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.clocks[name]; ok {
-		return c
-	}
-	c = newStateClock(now, initial)
-	r.clocks[name] = c
-	return c
+	return instrument(r, r.clocks, name, func() *StateClock { return newStateClock(now, initial) })
 }
 
 // --- exposition -----------------------------------------------------------
@@ -601,21 +555,6 @@ func (t *Timing) snapshot() TimingSnapshot {
 		snap.Buckets = append(snap.Buckets, TimingBucket{LoMs: lo * ms, HiMs: hi * ms, Count: c})
 	}
 	return snap
-}
-
-// CounterNames returns the registered counter names in sorted order.
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // SortedKeys returns the keys of a snapshot map in sorted order — the

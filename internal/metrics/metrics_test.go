@@ -54,9 +54,19 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if r.Gauge("g") != r.Gauge("g") || r.Dist("d") != r.Dist("d") || r.Timing("t") != r.Timing("t") {
 		t.Fatal("instruments not shared by name")
 	}
-	names := r.CounterNames()
-	if len(names) != 1 || names[0] != "a" {
-		t.Fatalf("CounterNames = %v", names)
+	if c := r.Snapshot().Counters; len(c) != 1 || c["a"] != 1 {
+		t.Fatalf("counters = %v, want only a=1", c)
+	}
+	now := func() time.Duration { return 0 }
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Counter("a")
+		r.Gauge("g")
+		r.Dist("d")
+		r.TimingBuckets("t", 0, time.Second, 10)
+		r.StateClock("c", now, "idle")
+	})
+	if allocs != 0 {
+		t.Fatalf("get-or-create hit allocates %v times, want 0", allocs)
 	}
 }
 
@@ -154,30 +164,19 @@ func TestSamplerTicks(t *testing.T) {
 	eng := sim.New(1)
 	s := NewSampler(eng, 100*time.Millisecond)
 	v := 0.0
-	ser := s.Track("v", func() float64 { return v })
-	ticks := 0
-	s.OnTick(func(time.Duration) { ticks++; v += 1 })
+	// The probe counts its own calls: one per tick.
+	ser := s.Track(func() float64 { v++; return v - 1 })
 	s.Start()
 	s.Start() // idempotent
 	eng.RunUntil(time.Second)
-	if ticks != 10 || ser.Len() != 10 {
-		t.Fatalf("ticks = %d, samples = %d", ticks, ser.Len())
+	if ser.Len() != 10 {
+		t.Fatalf("samples = %d, want 10", ser.Len())
 	}
 	at, values := ser.Samples()
 	if at[0] != 100*time.Millisecond || at[9] != time.Second {
 		t.Fatalf("sample times: %v", at)
 	}
-	// Probe runs before OnTick: first sample sees v=0, last sees v=9.
 	if values[0] != 0 || values[9] != 9 {
 		t.Fatalf("sample values: %v", values)
-	}
-	pts := ser.Points()
-	if pts[9].TSec != 1.0 || pts[9].V != 9 {
-		t.Fatalf("points: %+v", pts[9])
-	}
-	s.Stop()
-	eng.RunUntil(2 * time.Second)
-	if ser.Len() != 10 {
-		t.Fatalf("sampler kept ticking after Stop: %d", ser.Len())
 	}
 }

@@ -7,24 +7,14 @@ import (
 	"repro/internal/sim"
 )
 
-// SamplePoint is one (time, value) observation of a Series.
-type SamplePoint struct {
-	TSec float64 `json:"t_sec"`
-	V    float64 `json:"v"`
-}
-
 // Series is a time series filled in by a Sampler at fixed intervals. Safe
 // for concurrent readers: the sampler appends from the simulation goroutine
 // while live scrapes copy the accumulated points.
 type Series struct {
-	name   string
 	mu     sync.Mutex
 	at     []time.Duration
 	values []float64
 }
-
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
 
 // Len returns the number of samples taken so far.
 func (s *Series) Len() int {
@@ -52,16 +42,6 @@ func (s *Series) Samples() ([]time.Duration, []float64) {
 	return at, values
 }
 
-// Points converts the series to JSON-friendly sample points.
-func (s *Series) Points() []SamplePoint {
-	at, values := s.Samples()
-	pts := make([]SamplePoint, len(at))
-	for i := range at {
-		pts[i] = SamplePoint{TSec: at[i].Seconds(), V: values[i]}
-	}
-	return pts
-}
-
 // Sampler periodically evaluates registered probe functions on the
 // simulation engine's virtual clock. Ticks fire at interval, 2·interval, …
 // relative to Start; probes run inside the simulation loop and must not
@@ -69,10 +49,8 @@ func (s *Series) Points() []SamplePoint {
 type Sampler struct {
 	eng      *sim.Engine
 	interval time.Duration
-	names    []string
 	probes   []func() float64
 	series   []*Series
-	onTick   []func(now time.Duration)
 	ev       sim.Handle
 }
 
@@ -91,17 +69,11 @@ func (s *Sampler) Interval() time.Duration { return s.interval }
 
 // Track registers a probe evaluated on every tick; its values accumulate in
 // the returned Series. Register before Start.
-func (s *Sampler) Track(name string, probe func() float64) *Series {
-	ser := &Series{name: name}
-	s.names = append(s.names, name)
+func (s *Sampler) Track(probe func() float64) *Series {
+	ser := &Series{}
 	s.probes = append(s.probes, probe)
 	s.series = append(s.series, ser)
 	return ser
-}
-
-// OnTick registers a callback invoked (after the probes) on every tick.
-func (s *Sampler) OnTick(fn func(now time.Duration)) {
-	s.onTick = append(s.onTick, fn)
 }
 
 // Start schedules the first tick one interval from now. Starting an already
@@ -113,23 +85,12 @@ func (s *Sampler) Start() {
 	s.schedule()
 }
 
-// Stop cancels the pending tick.
-func (s *Sampler) Stop() {
-	if s.ev.Active() {
-		s.eng.Cancel(s.ev)
-		s.ev = sim.Handle{}
-	}
-}
-
 func (s *Sampler) schedule() {
 	s.ev = s.eng.AfterTagged(s.interval, sim.TagSampler, sim.NoOwner, func() {
 		s.ev = sim.Handle{}
 		now := s.eng.Now()
 		for i, probe := range s.probes {
 			s.series[i].append(now, probe())
-		}
-		for _, fn := range s.onTick {
-			fn(now)
 		}
 		s.schedule()
 	})

@@ -53,15 +53,15 @@ func optionsFingerprint(opts Options) uint64 {
 	h.Int(opts.PayloadBytes)
 	h.Float64(opts.CBRBitsPerSec)
 	h.Bool(opts.AdaptTable != nil)
-	h.Int(opts.SRWindow)
+	// Selective-repeat window: no longer an option, hashed at the value
+	// every run used so existing fingerprints still match.
+	h.Int(0)
 	h.Bool(opts.DisablePersistentConcurrency)
 	h.Float64(opts.PositionErrorMeters)
 	h.Bool(opts.InBandLocation)
 	h.String(opts.Faults.String())
-	h.Bool(opts.LocationHealth != nil)
-	if opts.LocationHealth != nil {
-		h.String(fmt.Sprintf("%+v", *opts.LocationHealth))
-	}
+	// Location-health override: likewise hashed as the "unset" it always was.
+	h.Bool(false)
 	// ComapRemote is deliberately NOT hashed: a zero-RPC-fault remote run is
 	// observationally identical to the in-process run, and its ledger must
 	// stay comparable with (and equal to) the local golden. RPC fault

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/arq"
 	"repro/internal/audit"
 	"repro/internal/bianchi"
 	"repro/internal/channel"
@@ -113,8 +114,6 @@ type Options struct {
 	ComapModel comap.Model
 	// AdaptTable enables hidden-terminal packet-size/CW adaptation.
 	AdaptTable *bianchi.AdaptationTable
-	// SRWindow is the selective-repeat window (0 = default).
-	SRWindow int
 	// DisablePersistentConcurrency turns off the paper's testbed-style
 	// carrier-sense bypass, leaving only per-header chained joins — an
 	// ablation knob for the design-choice benchmarks.
@@ -132,11 +131,6 @@ type Options struct {
 	// churn and channel events, all off the sim clock and seeded streams so
 	// faulted runs stay bit-reproducible.
 	Faults *faults.Spec
-	// LocationHealth overrides CO-MAP's location-health policy. nil selects
-	// comap.DefaultHealthPolicy() when Faults is set (so degraded input gets
-	// degraded-mode consumption by default) and disables health gating
-	// otherwise; a zero-valued policy explicitly disables it.
-	LocationHealth *comap.HealthPolicy
 	// ComapRemote routes every CO-MAP verdict miss through the mapsvc
 	// control plane (location ingest, sharded verdict cache, snapshot+WAL
 	// crash model) over the deterministic in-process transport. With a nil
@@ -353,6 +347,10 @@ type Network struct {
 	// Audit is the determinism ledger (nil unless Options.Audit is set).
 	Audit *audit.Ledger
 
+	// health is the CO-MAP location-health policy in force (zero when
+	// disabled).
+	health comap.HealthPolicy
+
 	providers map[frame.NodeID]*providerRef
 
 	// Remote CO-MAP control-plane stack (nil unless Options.ComapRemote).
@@ -426,12 +424,10 @@ func Build(top topology.Topology, opts Options) (*Network, error) {
 		opts.Header = HeaderEmbedded
 	}
 
-	// Location-health policy: explicit override, or the default whenever
-	// faults are injected (degraded input gets degraded-mode consumption).
-	health := comap.HealthPolicy{}
-	if opts.LocationHealth != nil {
-		health = *opts.LocationHealth
-	} else if opts.Faults != nil || opts.RPCFaults != nil {
+	// Location-health policy: the default whenever faults are injected
+	// (degraded input gets degraded-mode consumption), off otherwise.
+	var health comap.HealthPolicy
+	if opts.Faults != nil || opts.RPCFaults != nil {
 		health = comap.DefaultHealthPolicy()
 	}
 
@@ -448,16 +444,16 @@ func Build(top topology.Topology, opts Options) (*Network, error) {
 	if opts.Profile != nil {
 		profiler = prof.New(*opts.Profile)
 	}
-	// Compose dispatch observers without ever storing a typed nil in the
-	// Observer interface.
-	switch {
-	case profiler != nil && ledger != nil:
-		eng.SetObserver(sim.TeeObservers(profiler, ledger))
-	case profiler != nil:
-		eng.SetObserver(profiler)
-	case ledger != nil:
-		eng.SetObserver(ledger)
+	// Only non-nil observers join the tee: a typed nil stored in the
+	// Observer interface would not read as nil.
+	var observers []sim.Observer
+	if profiler != nil {
+		observers = append(observers, profiler)
 	}
+	if ledger != nil {
+		observers = append(observers, ledger)
+	}
+	eng.SetObserver(sim.TeeObservers(observers...))
 	medium := channel.NewMedium(eng, opts.Prop, opts.PHY.NoiseFloorDBm)
 	if top.World != nil {
 		medium.SetGrid(top.World)
@@ -480,6 +476,7 @@ func Build(top topology.Topology, opts Options) (*Network, error) {
 		Stations:      make(map[frame.NodeID]*Station, len(top.Nodes)),
 		MediumMetrics: metrics.NewRegistry(),
 		Prof:          profiler,
+		health:        health,
 		providers:     make(map[frame.NodeID]*providerRef, len(top.Nodes)),
 	}
 	medium.SetMetrics(n.MediumMetrics)
@@ -606,7 +603,7 @@ func Build(top topology.Topology, opts Options) (*Network, error) {
 		tr.SetListener(m)
 		st.MAC = m
 		if opts.Protocol == ProtocolComap {
-			st.Endpoint = comap.NewEndpoint(eng, m, opts.SRWindow)
+			st.Endpoint = comap.NewEndpoint(eng, m, arq.DefaultWindow)
 			st.Endpoint.SetMetrics(st.Metrics)
 		} else {
 			st.Peer = traffic.NewPeer(eng, m)
@@ -884,10 +881,7 @@ func (n *Network) StartSlicing(interval time.Duration) {
 	n.sliceSeries = make(map[topology.Flow]*metrics.Series, len(n.Top.Flows))
 	for _, f := range n.Top.Flows {
 		meter := n.Stations[f.Dst].deliveredFrom(f.Src)
-		n.sliceSeries[f] = n.sampler.Track(
-			fmt.Sprintf("flow.%d-%d.bytes", f.Src, f.Dst),
-			func() float64 { return float64(meter.Bytes()) },
-		)
+		n.sliceSeries[f] = n.sampler.Track(func() float64 { return float64(meter.Bytes()) })
 	}
 	n.sampler.Start()
 }

@@ -101,21 +101,3 @@ func TestDisablePersistentConcurrency(t *testing.T) {
 		t.Error("chained concurrency should still work")
 	}
 }
-
-// TestSRWindowOption: a tiny selective-repeat window still delivers, just
-// with more head-of-line stalling.
-func TestSRWindowOption(t *testing.T) {
-	top := topology.ETSweep(30)
-	opts := TestbedOptions()
-	opts.Protocol = ProtocolComap
-	opts.SRWindow = 1
-	opts.Seed = 10
-	opts.Duration = time.Second
-	res, err := RunScenario(top, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total() == 0 {
-		t.Error("window=1 delivered nothing")
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/audit"
-	"repro/internal/comap"
 	"repro/internal/faults"
 	"repro/internal/frame"
 	"repro/internal/mapsvc"
@@ -197,7 +196,7 @@ func (n *Network) HealthStatus() HealthStatus {
 			h.Status = "degraded"
 		}
 	}
-	if hp := n.healthPolicy(); hp.Enabled() {
+	if hp := n.health; hp.Enabled() {
 		h.HealthPolicy = &HealthPolicyStatus{
 			MaxFixAgeSec:            hp.MaxFixAge.Seconds(),
 			StalenessMarginDBPerSec: hp.StalenessMarginDBPerSec,
@@ -232,16 +231,4 @@ func (n *Network) HealthStatus() HealthStatus {
 		}
 	}
 	return h
-}
-
-// healthPolicy returns the CO-MAP health policy in force for this run (zero
-// when disabled), mirroring the selection Build performs.
-func (n *Network) healthPolicy() comap.HealthPolicy {
-	if n.Opts.LocationHealth != nil {
-		return *n.Opts.LocationHealth
-	}
-	if n.Opts.Faults != nil || n.Opts.RPCFaults != nil {
-		return comap.DefaultHealthPolicy()
-	}
-	return comap.HealthPolicy{}
 }

@@ -176,8 +176,8 @@ func TestRPCChaosStitchingComplete(t *testing.T) {
 // events, no retries, drops, breaker windows or ladder transitions — and
 // the report's control-plane blocks stay absent (they are gated on RPC
 // faults, keeping zero-fault reports byte-identical to in-process
-// goldens, which TestGoldenReportsRemoteTraced asserts against the
-// checked-in files).
+// goldens, which the remote-traced rows of TestGoldenReports assert
+// against the checked-in files).
 func TestRemoteZeroFaultRPCTrace(t *testing.T) {
 	top := topology.ETSweep(12)
 	var buf trace.Buffer

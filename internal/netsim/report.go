@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"time"
 
 	"repro/internal/frame"
 	"repro/internal/mapsvc"
@@ -269,36 +268,16 @@ func itoaU16(v frame.NodeID) string {
 
 // flowSlices converts a flow's cumulative byte series into per-slice deltas,
 // closing the final (possibly partial) slice against the end-of-run meter
-// reading.
+// reading: the run may end between ticks.
 func (n *Network) flowSlices(f topology.Flow) []GoodputSlice {
 	s := n.sliceSeries[f]
 	if s == nil {
 		return nil
 	}
-	var out []GoodputSlice
-	prevT := time.Duration(0)
-	prevB := int64(0)
-	emit := func(t time.Duration, b int64) {
-		if t <= prevT {
-			return
-		}
-		out = append(out, GoodputSlice{
-			StartSec:   prevT.Seconds(),
-			EndSec:     t.Seconds(),
-			Bytes:      b - prevB,
-			GoodputBps: float64(b-prevB) * 8 / (t - prevT).Seconds(),
-		})
-		prevT, prevB = t, b
-	}
 	at, values := s.Samples()
-	for i := range at {
-		emit(at[i], int64(values[i]))
-	}
-	// The run may end between ticks; close the partial slice from the final
-	// meter reading.
-	final := n.Stations[f.Dst].deliveredFrom(f.Src).Bytes()
-	emit(n.Opts.Duration, final)
-	return out
+	at = append(at, n.Opts.Duration)
+	values = append(values, float64(n.Stations[f.Dst].deliveredFrom(f.Src).Bytes()))
+	return slicesFromSeries(at, values)
 }
 
 // WriteJSON writes the report as indented JSON.

@@ -1,72 +1,31 @@
 package obs
 
 import (
-	"net/http"
-
 	"repro/internal/audit"
 	"repro/internal/metrics"
 )
 
 // AddLedger registers a named determinism ledger (internal/audit). It backs
 // /audit: the ledger's head digest, per-tag chains and slice/event totals,
-// as JSON or the comap_audit_* Prometheus families with ?format=prom.
-// Ledger.Head is a mutex-guarded snapshot published at slice closes, so
-// scraping never touches the sim goroutine's state. Nil server or ledger is
-// a no-op.
+// as JSON, or with ?format=prom the comap_audit_slices_total /
+// comap_audit_events_total / comap_audit_deep_slices_total counters plus a
+// comap_audit_head_info gauge whose "head" label carries the combined
+// digest (the standard info-metric idiom for exposing a hash through
+// Prometheus). Ledger.Head is a mutex-guarded snapshot published at slice
+// closes, so scraping never touches the sim goroutine's state. Nil server
+// or ledger is a no-op.
 func (s *Server) AddLedger(name string, l *audit.Ledger) {
-	if s == nil || l == nil {
+	if l == nil {
 		return
 	}
-	s.mu.Lock()
-	s.ledgers[name] = l
-	s.mu.Unlock()
-}
-
-// ledgerFuncs copies the registered ledgers for iteration outside the lock.
-func (s *Server) ledgerFuncs() map[string]*audit.Ledger {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]*audit.Ledger, len(s.ledgers))
-	for k, v := range s.ledgers {
-		out[k] = v
-	}
-	return out
-}
-
-// handleAudit serves every ledger's head: JSON keyed by source name, or
-// with ?format=prom the comap_audit_slices_total / comap_audit_events_total
-// / comap_audit_deep_slices_total counters plus a comap_audit_head_info
-// gauge whose "head" label carries the combined digest (the standard
-// info-metric idiom for exposing a hash through Prometheus).
-func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	ledgers := s.ledgerFuncs()
-	names := metrics.SortedKeys(ledgers)
-	if r.URL.Query().Get("format") == "prom" {
-		pw := metrics.NewPromWriter()
-		for _, name := range names {
-			h := ledgers[name].Head()
-			labels := func(extra map[string]string) map[string]string {
-				m := map[string]string{}
-				if len(names) > 1 || name != "" {
-					m["source"] = name
-				}
-				for k, v := range extra {
-					m[k] = v
-				}
-				return m
-			}
-			pw.Sample("comap_audit_slices_total", "counter", labels(nil), float64(h.Slices))
-			pw.Sample("comap_audit_events_total", "counter", labels(nil), float64(h.Events))
-			pw.Sample("comap_audit_deep_slices_total", "counter", labels(nil), float64(h.DeepSlices))
-			pw.Sample("comap_audit_head_info", "gauge", labels(map[string]string{"head": h.Head, "scenario": h.Scenario}), 1)
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		pw.WriteTo(w) //nolint:errcheck // client went away
-		return
-	}
-	out := make(map[string]audit.Head, len(names))
-	for _, name := range names {
-		out[name] = ledgers[name].Head()
-	}
-	writeJSON(w, out)
+	s.add("/audit", name, source{
+		value: func() any { return l.Head() },
+		prom: func(pw *metrics.PromWriter, labels map[string]string) {
+			h := l.Head()
+			pw.Sample("comap_audit_slices_total", "counter", labels, float64(h.Slices))
+			pw.Sample("comap_audit_events_total", "counter", labels, float64(h.Events))
+			pw.Sample("comap_audit_deep_slices_total", "counter", labels, float64(h.DeepSlices))
+			pw.Sample("comap_audit_head_info", "gauge", withLabels(labels, "head", h.Head, "scenario", h.Scenario), 1)
+		},
+	})
 }

@@ -14,62 +14,24 @@ import (
 // profiler's dump dir and returns the path). Both read only atomics, so
 // scraping never perturbs the run. Nil server or profiler is a no-op.
 func (s *Server) AddProfiler(name string, p *prof.Profiler) {
-	if s == nil || p == nil {
+	if p == nil {
 		return
 	}
-	s.mu.Lock()
-	s.profilers[name] = p
-	s.mu.Unlock()
-}
-
-// profilerFuncs copies the registered profilers for iteration outside the
-// lock.
-func (s *Server) profilerFuncs() map[string]*prof.Profiler {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]*prof.Profiler, len(s.profilers))
-	for k, v := range s.profilers {
-		out[k] = v
-	}
-	return out
-}
-
-// handleProfile serves every profiler's attribution: JSON keyed by source
-// name, or the comap_prof_events_total / comap_prof_sampled_seconds_total /
-// comap_prof_flight_records_total Prometheus families with ?format=prom.
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	profilers := s.profilerFuncs()
-	names := metrics.SortedKeys(profilers)
-	if r.URL.Query().Get("format") == "prom" {
-		pw := metrics.NewPromWriter()
-		for _, name := range names {
-			p := profilers[name]
-			a := p.Attribution()
-			for _, ts := range a.Tags {
-				labels := map[string]string{"tag": ts.Tag}
-				if len(names) > 1 || name != "" {
-					labels["source"] = name
-				}
-				pw.Sample("comap_prof_events_total", "counter", labels, float64(ts.Events))
-				pw.Sample("comap_prof_sampled_seconds_total", "counter", labels, ts.SampledSec)
+	s.add("/profile", name, source{
+		value: func() any { return p.Attribution() },
+		prom: func(pw *metrics.PromWriter, labels map[string]string) {
+			for _, ts := range p.Attribution().Tags {
+				l := withLabels(labels, "tag", ts.Tag)
+				pw.Sample("comap_prof_events_total", "counter", l, float64(ts.Events))
+				pw.Sample("comap_prof_sampled_seconds_total", "counter", l, ts.SampledSec)
 			}
 			if f := p.Flight(); f != nil {
-				labels := map[string]string{}
-				if len(names) > 1 || name != "" {
-					labels["source"] = name
-				}
 				pw.Sample("comap_prof_flight_records_total", "counter", labels, float64(f.Total()))
 			}
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		pw.WriteTo(w) //nolint:errcheck // client went away
-		return
-	}
-	out := make(map[string]prof.Attribution, len(names))
-	for _, name := range names {
-		out[name] = profilers[name].Attribution()
-	}
-	writeJSON(w, out)
+		},
+	})
+	// /flight acts on the profiler itself (?dump=1 writes its ring).
+	s.add("/flight", name, source{value: func() any { return p }})
 }
 
 // flightView is one profiler's /flight payload.
@@ -85,11 +47,10 @@ type flightView struct {
 // Profilers without a recorder are omitted. ?dump=1 additionally writes each
 // ring to its profiler's dump dir.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	profilers := s.profilerFuncs()
 	dump := r.URL.Query().Get("dump") == "1"
 	out := make(map[string]flightView)
-	for _, name := range metrics.SortedKeys(profilers) {
-		p := profilers[name]
+	for _, src := range s.list("/flight") {
+		p := src.value().(*prof.Profiler)
 		f := p.Flight()
 		if f == nil {
 			continue
@@ -103,7 +64,7 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 			}
 			v.Dumped = path
 		}
-		out[name] = v
+		out[src.name] = v
 	}
 	writeJSON(w, out)
 }

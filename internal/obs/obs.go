@@ -19,8 +19,8 @@
 //
 // The plane is strictly pull-only: handlers read atomic counters, locked
 // snapshots and wall clocks, and never call into protocol state, so a
-// served run is bit-identical to an unserved one (asserted by test against
-// the full netsim.Report).
+// served run is bit-identical to an unserved one (asserted against the
+// golden reports by the served rows of netsim's TestGoldenReports).
 //
 // Like trace.Sink, the server is nil-safe: every method on a nil *Server is
 // a no-op, so instrumented mains can wire it unconditionally and pay
@@ -35,14 +35,11 @@ import (
 	"net/http/pprof"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/metrics"
-	"repro/internal/prof"
 	"repro/internal/slo"
 )
 
@@ -74,14 +71,10 @@ type SLOFunc func() slo.Status
 type Server struct {
 	opts Options
 
-	mu        sync.Mutex
-	sources   map[string]SnapshotFunc
-	runs      map[string]RunFunc
-	health    map[string]HealthFunc
-	profilers map[string]*prof.Profiler
-	ledgers   map[string]*audit.Ledger
-	slos      map[string]SLOFunc
-	extra     map[string]http.Handler
+	mu sync.Mutex
+	// sources maps an endpoint path to its named sources.
+	sources map[string]map[string]source
+	extra   map[string]http.Handler
 
 	srv *http.Server
 	ln  net.Listener
@@ -90,60 +83,91 @@ type Server struct {
 	profMu sync.Mutex
 }
 
+// source is one named producer behind an endpoint. value yields its JSON
+// payload; prom, set for the endpoints that serve ?format=prom, adds its
+// Prometheus families under the given base labels.
+type source struct {
+	value func() any
+	prom  func(pw *metrics.PromWriter, labels map[string]string)
+}
+
+type namedSource struct {
+	name string
+	source
+}
+
 // NewServer returns an empty admin plane.
 func NewServer(opts Options) *Server {
 	if opts.CaptureDir == "" {
 		opts.CaptureDir = filepath.Join("results", "profiles")
 	}
-	return &Server{
-		opts:      opts,
-		sources:   make(map[string]SnapshotFunc),
-		runs:      make(map[string]RunFunc),
-		health:    make(map[string]HealthFunc),
-		profilers: make(map[string]*prof.Profiler),
-		ledgers:   make(map[string]*audit.Ledger),
-		slos:      make(map[string]SLOFunc),
+	return &Server{opts: opts}
+}
+
+// add registers src under name at path, replacing any earlier source of
+// that name.
+func (s *Server) add(path, name string, src source) {
+	if s == nil {
+		return
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sources == nil {
+		s.sources = make(map[string]map[string]source)
+	}
+	if s.sources[path] == nil {
+		s.sources[path] = make(map[string]source)
+	}
+	s.sources[path][name] = src
+}
+
+// list copies path's sources in name order, for use outside the lock
+// (source functions may themselves take instrument locks).
+func (s *Server) list(path string) []namedSource {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	srcs := s.sources[path]
+	out := make([]namedSource, 0, len(srcs))
+	for _, name := range metrics.SortedKeys(srcs) {
+		out = append(out, namedSource{name, srcs[name]})
+	}
+	return out
 }
 
 // AddMetrics registers a named snapshot source served under /metrics.
 func (s *Server) AddMetrics(name string, fn SnapshotFunc) {
-	if s == nil || fn == nil {
+	if fn == nil {
 		return
 	}
-	s.mu.Lock()
-	s.sources[name] = fn
-	s.mu.Unlock()
+	s.add("/metrics", name, source{
+		value: func() any { return fn() },
+		prom:  func(pw *metrics.PromWriter, labels map[string]string) { pw.Add(labels, fn()) },
+	})
 }
 
 // AddRun registers a named run-progress source served under /runs.
 func (s *Server) AddRun(name string, fn RunFunc) {
-	if s == nil || fn == nil {
+	if fn == nil {
 		return
 	}
-	s.mu.Lock()
-	s.runs[name] = fn
-	s.mu.Unlock()
+	s.add("/runs", name, source{value: fn})
+}
+
+// healthReading is one /healthz source's answer.
+type healthReading struct {
+	status string
+	detail any
 }
 
 // AddHealth registers a named health source served under /healthz.
 func (s *Server) AddHealth(name string, fn HealthFunc) {
-	if s == nil || fn == nil {
+	if fn == nil {
 		return
 	}
-	s.mu.Lock()
-	s.health[name] = fn
-	s.mu.Unlock()
-}
-
-// AddSLO registers a named SLO snapshot source served under /slo.
-func (s *Server) AddSLO(name string, fn SLOFunc) {
-	if s == nil || fn == nil {
-		return
-	}
-	s.mu.Lock()
-	s.slos[name] = fn
-	s.mu.Unlock()
+	s.add("/healthz", name, source{value: func() any {
+		status, detail := fn()
+		return healthReading{status, detail}
+	}})
 }
 
 // Handle mounts an application handler on the admin mux under pattern
@@ -161,26 +185,6 @@ func (s *Server) Handle(pattern string, h http.Handler) {
 	s.mu.Unlock()
 }
 
-// snapshotFuncs copies the registered sources for iteration outside the
-// lock (source functions may themselves take instrument locks).
-func (s *Server) snapshotFuncs() (map[string]SnapshotFunc, map[string]RunFunc, map[string]HealthFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	src := make(map[string]SnapshotFunc, len(s.sources))
-	for k, v := range s.sources {
-		src[k] = v
-	}
-	runs := make(map[string]RunFunc, len(s.runs))
-	for k, v := range s.runs {
-		runs[k] = v
-	}
-	health := make(map[string]HealthFunc, len(s.health))
-	for k, v := range s.health {
-		health[k] = v
-	}
-	return src, runs, health
-}
-
 // Handler returns the admin mux (nil on a nil server).
 func (s *Server) Handler() http.Handler {
 	if s == nil {
@@ -188,13 +192,12 @@ func (s *Server) Handler() http.Handler {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	for _, path := range []string{"/metrics", "/profile", "/audit", "/slo"} {
+		mux.HandleFunc(path, s.serve(path))
+	}
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/runs", s.handleRuns)
-	mux.HandleFunc("/profile", s.handleProfile)
 	mux.HandleFunc("/flight", s.handleFlight)
-	mux.HandleFunc("/audit", s.handleAudit)
-	mux.HandleFunc("/slo", s.handleSLO)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -278,30 +281,44 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "  /debug/profile/heap capture a heap profile to the results dir")
 }
 
-// handleMetrics serves every source's snapshot: JSON keyed by source name
-// (sorted by encoding/json), or Prometheus text exposition with a source
-// label when ?format=prom is given.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	sources, _, _ := s.snapshotFuncs()
-	names := metrics.SortedKeys(sources)
-	if r.URL.Query().Get("format") == "prom" {
-		pw := metrics.NewPromWriter()
-		for _, name := range names {
-			labels := map[string]string{}
-			if len(names) > 1 || name != "" {
-				labels["source"] = name
+// serve answers path from its sources: JSON keyed by source name (sorted
+// by encoding/json), or with ?format=prom every source's Prometheus
+// families, each sample labelled with its source unless the only source is
+// unnamed.
+func (s *Server) serve(path string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		srcs := s.list(path)
+		if r.URL.Query().Get("format") == "prom" {
+			pw := metrics.NewPromWriter()
+			for _, src := range srcs {
+				labels := map[string]string{}
+				if len(srcs) > 1 || src.name != "" {
+					labels["source"] = src.name
+				}
+				src.prom(pw, labels)
 			}
-			pw.Add(labels, sources[name]())
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			pw.WriteTo(w) //nolint:errcheck // client went away
+			return
 		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		pw.WriteTo(w) //nolint:errcheck // client went away
-		return
+		out := make(map[string]any, len(srcs))
+		for _, src := range srcs {
+			out[src.name] = src.value()
+		}
+		writeJSON(w, out)
 	}
-	out := make(map[string]metrics.Snapshot, len(names))
-	for _, name := range names {
-		out[name] = sources[name]()
+}
+
+// withLabels returns a copy of labels with the given key/value pairs added.
+func withLabels(labels map[string]string, kv ...string) map[string]string {
+	out := make(map[string]string, len(labels)+len(kv)/2)
+	for k, v := range labels {
+		out[k] = v
 	}
-	writeJSON(w, out)
+	for i := 0; i+1 < len(kv); i += 2 {
+		out[kv[i]] = kv[i+1]
+	}
+	return out
 }
 
 // healthResponse is the /healthz payload.
@@ -313,32 +330,31 @@ type healthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	_, _, health := s.snapshotFuncs()
+	srcs := s.list("/healthz")
 	resp := healthResponse{Status: "ok"}
-	if len(health) > 0 {
-		resp.Sources = make(map[string]any, len(health))
+	if len(srcs) > 0 {
+		resp.Sources = make(map[string]any, len(srcs))
 	}
-	for _, name := range metrics.SortedKeys(health) {
-		status, detail := health[name]()
-		if status != "ok" && resp.Status == "ok" {
-			resp.Status = status
+	for _, src := range srcs {
+		h := src.value().(healthReading)
+		if h.status != "ok" && resp.Status == "ok" {
+			resp.Status = h.status
 		}
-		resp.Sources[name] = detail
+		resp.Sources[src.name] = h.detail
 	}
 	writeJSON(w, resp)
 }
 
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	_, runs, _ := s.snapshotFuncs()
 	type namedRun struct {
 		Name     string `json:"name"`
 		Progress any    `json:"progress"`
 	}
-	out := make([]namedRun, 0, len(runs))
-	for _, name := range metrics.SortedKeys(runs) {
-		out = append(out, namedRun{Name: name, Progress: runs[name]()})
+	srcs := s.list("/runs")
+	out := make([]namedRun, 0, len(srcs))
+	for _, src := range srcs {
+		out = append(out, namedRun{Name: src.name, Progress: src.value()})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	writeJSON(w, out)
 }
 

@@ -1,58 +1,29 @@
 package obs
 
-import (
-	"net/http"
+import "repro/internal/metrics"
 
-	"repro/internal/metrics"
-	"repro/internal/slo"
-)
-
-// sloFuncs copies the registered SLO sources for iteration off the lock.
-func (s *Server) sloFuncs() map[string]SLOFunc {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]SLOFunc, len(s.slos))
-	for k, v := range s.slos {
-		out[k] = v
-	}
-	return out
-}
-
-// handleSLO serves every tracker's per-endpoint objectives: JSON keyed by
-// source name, or comap_slo_* Prometheus families with ?format=prom.
-func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	slos := s.sloFuncs()
-	names := metrics.SortedKeys(slos)
-	if r.URL.Query().Get("format") == "prom" {
-		pw := metrics.NewPromWriter()
-		for _, name := range names {
-			st := slos[name]()
-			for _, ep := range st.Endpoints {
-				labels := func() map[string]string {
-					m := map[string]string{"endpoint": ep.Endpoint}
-					if len(names) > 1 || name != "" {
-						m["source"] = name
-					}
-					return m
-				}
-				pw.Sample("comap_slo_requests_total", "counter", labels(), float64(ep.Requests))
-				pw.Sample("comap_slo_errors_total", "counter", labels(), float64(ep.Errors))
-				pw.Sample("comap_slo_slow_total", "counter", labels(), float64(ep.Slow))
-				pw.Sample("comap_slo_good_fraction", "gauge", labels(), ep.GoodFraction)
-				pw.Sample("comap_slo_budget_remaining", "gauge", labels(), ep.BudgetRemaining)
-				pw.Sample("comap_slo_burn_rate", "gauge", labels(), ep.BurnRate)
-				pw.Sample("comap_slo_latency_p99_ms", "gauge", labels(), ep.P99Ms)
-				pw.Sample("comap_slo_latency_p999_ms", "gauge", labels(), ep.P999Ms)
-				pw.Sample("comap_slo_latency_max_ms", "gauge", labels(), ep.MaxMs)
-			}
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		pw.WriteTo(w) //nolint:errcheck // client went away
+// AddSLO registers a named SLO snapshot source served under /slo: every
+// tracker's per-endpoint objectives as JSON, or the comap_slo_* Prometheus
+// families with ?format=prom.
+func (s *Server) AddSLO(name string, fn SLOFunc) {
+	if fn == nil {
 		return
 	}
-	out := make(map[string]slo.Status, len(names))
-	for _, name := range names {
-		out[name] = slos[name]()
-	}
-	writeJSON(w, out)
+	s.add("/slo", name, source{
+		value: func() any { return fn() },
+		prom: func(pw *metrics.PromWriter, labels map[string]string) {
+			for _, ep := range fn().Endpoints {
+				l := withLabels(labels, "endpoint", ep.Endpoint)
+				pw.Sample("comap_slo_requests_total", "counter", l, float64(ep.Requests))
+				pw.Sample("comap_slo_errors_total", "counter", l, float64(ep.Errors))
+				pw.Sample("comap_slo_slow_total", "counter", l, float64(ep.Slow))
+				pw.Sample("comap_slo_good_fraction", "gauge", l, ep.GoodFraction)
+				pw.Sample("comap_slo_budget_remaining", "gauge", l, ep.BudgetRemaining)
+				pw.Sample("comap_slo_burn_rate", "gauge", l, ep.BurnRate)
+				pw.Sample("comap_slo_latency_p99_ms", "gauge", l, ep.P99Ms)
+				pw.Sample("comap_slo_latency_p999_ms", "gauge", l, ep.P999Ms)
+				pw.Sample("comap_slo_latency_max_ms", "gauge", l, ep.MaxMs)
+			}
+		},
+	})
 }
