@@ -45,9 +45,11 @@ type Sender struct {
 	window      int
 	maxAttempts int
 	next        uint16
-	inflight    []*entry // unacked frames, oldest first
-	dropped     int
-	delivered   int
+	// inflight holds the unacked frames, oldest first, by value and
+	// shifted in place, so a steady window never reallocates it.
+	inflight  []entry
+	dropped   int
+	delivered int
 
 	// Telemetry (nil unless Instrument was called; all recording nil-safe).
 	now      func() time.Duration
@@ -117,7 +119,7 @@ func (s *Sender) Next(newPayload int) (seq uint16, payload int, retry bool) {
 // dropHopeless abandons frames that exhausted their attempt budget.
 func (s *Sender) dropHopeless() {
 	for len(s.inflight) > 0 && s.inflight[0].attempts >= s.maxAttempts {
-		s.inflight = s.inflight[1:]
+		s.inflight = s.inflight[:copy(s.inflight, s.inflight[1:])]
 		s.dropped++
 		s.mDropped.Inc()
 	}
@@ -135,7 +137,7 @@ func (s *Sender) NextNew(newPayload int) (seq uint16, ok bool) {
 	if !s.CanSendNew() {
 		return 0, false
 	}
-	e := &entry{seq: s.next, payload: newPayload, attempts: 1, sent: true}
+	e := entry{seq: s.next, payload: newPayload, attempts: 1, sent: true}
 	if s.now != nil {
 		e.firstAt = s.now()
 	}
@@ -155,7 +157,8 @@ func (s *Sender) NextRetransmit() (seq uint16, payload int, ok bool) {
 	}
 	e := s.inflight[0]
 	e.attempts++
-	s.inflight = append(s.inflight[1:], e)
+	copy(s.inflight, s.inflight[1:])
+	s.inflight[len(s.inflight)-1] = e
 	s.mOcc.Observe(float64(len(s.inflight)))
 	return e.seq, e.payload, true
 }
@@ -187,10 +190,6 @@ func (s *Sender) OnAck(ackSeq uint16, bitmap uint32) (frames, payloadBytes int) 
 			continue
 		}
 		kept = append(kept, e)
-	}
-	// Zero the tail so dropped entries are collectable.
-	for i := len(kept); i < len(s.inflight); i++ {
-		s.inflight[i] = nil
 	}
 	s.inflight = kept
 	return frames, payloadBytes

@@ -28,6 +28,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/frame"
@@ -298,6 +299,9 @@ type transmission struct {
 	heard []*Transceiver
 	// activeIdx is this record's position in Medium.active.
 	activeIdx int
+	// end and header are the record's timer callbacks, bound once when the
+	// record is first allocated and reused across recycling.
+	end, header func()
 }
 
 // airEntry is one in-flight frame as a receiver hears it: the shadowing-
@@ -743,6 +747,8 @@ func (m *Medium) newTransmission(t *Transceiver, f frame.Frame, rate phy.Rate) *
 		m.txPool = m.txPool[:n-1]
 	} else {
 		tx = &transmission{}
+		tx.end = func() { m.endTransmission(tx) }
+		tx.header = func() { m.emitHeaderIndication(tx) }
 	}
 	tx.from, tx.f, tx.rate = t, f, rate
 	return tx
@@ -829,11 +835,11 @@ func (t *Transceiver) Transmit(f frame.Frame, rate phy.Rate, airtime time.Durati
 
 	if m.HeaderIndicationAt != nil && f.Kind == frame.Data {
 		if at := m.HeaderIndicationAt(rate); at > 0 && at < airtime {
-			m.eng.AfterTagged(at, sim.TagChannel, int32(t.id), func() { m.emitHeaderIndication(tx) })
+			m.eng.AfterTagged(at, sim.TagChannel, int32(t.id), tx.header)
 		}
 	}
 
-	m.eng.AfterTagged(airtime, sim.TagChannel, int32(t.id), func() { m.endTransmission(tx) })
+	m.eng.AfterTagged(airtime, sim.TagChannel, int32(t.id), tx.end)
 	return nil
 }
 
@@ -1008,8 +1014,10 @@ func (m *Medium) staticShadowFor(a, b frame.NodeID) float64 {
 	key := makePairKey(a, b)
 	static, ok := m.staticShadow[key]
 	if !ok {
-		pairRNG := m.eng.RNG(fmt.Sprintf("channel.static.%d.%d", key.lo, key.hi))
-		static = math.Sqrt(f) * sigma * pairRNG.NormFloat64()
+		var buf [32]byte
+		name := strconv.AppendUint(append(buf[:0], "channel.static."...), uint64(key.lo), 10)
+		name = strconv.AppendUint(append(name, '.'), uint64(key.hi), 10)
+		static = math.Sqrt(f) * sigma * m.eng.TransientRNG(name).NormFloat64()
 		m.staticShadow[key] = static
 	}
 	return static

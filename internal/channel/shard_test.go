@@ -25,8 +25,9 @@ type shardFixture struct {
 	m     *Medium
 	recs  map[frame.NodeID]*recorder
 	nodes []*Transceiver
-	// rebuildOnMove marks the geometry dirty before every scheduled move,
-	// so each one is folded into a full rebuild instead of moveNode.
+	// rebuildOnMove replaces moveNode with a full geometry rebuild right
+	// after every scheduled move, so both paths see every intermediate
+	// layout.
 	rebuildOnMove bool
 }
 
@@ -67,16 +68,24 @@ func (fx *shardFixture) run() {
 			at += 173 * time.Microsecond
 		}
 		// Move a third of the stations between rounds, far enough to hop
-		// shard cells.
+		// shard cells. The first mover of each round instead jumps to the
+		// mirrored corner of the field, leaving its whole old neighborhood
+		// behind: the incremental path must drop every entry it left.
 		for i := round % 3; i < len(fx.nodes); i += 3 {
 			tr := fx.nodes[i]
 			dx, dy := (rng.Float64()-0.5)*400, (rng.Float64()-0.5)*400
 			p := geom.Pt(clampF(tr.Position().X+dx, 0, 1000), clampF(tr.Position().Y+dy, 0, 1000))
+			if i == round%3 {
+				p = geom.Pt(1000-tr.Position().X, 1000-tr.Position().Y)
+			}
 			fx.eng.Schedule(at, func() {
-				if fx.rebuildOnMove {
-					fx.m.geomDirty = true
+				if !fx.rebuildOnMove {
+					tr.SetPosition(p)
+					return
 				}
+				fx.m.geomDirty = true
 				tr.SetPosition(p)
+				fx.m.rebuildGeometry()
 			})
 			at += 50 * time.Microsecond
 		}
@@ -149,7 +158,9 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 // full geometry rebuild after every move: identical deliveries, identical
 // RNG stream cursors — the incremental path may not shift a single draw —
 // and identical digests. This is the RNG-stream-identity guarantee for
-// mobility.
+// mobility. A zero audibility margin shrinks the neighbor radius to ~200 m,
+// well inside the 1 km field, so moves leave stations behind whose entries
+// for the mover must be dropped.
 func TestIncrementalMatchesFullRebuild(t *testing.T) {
 	grid, err := topology.NewGrid(geom.Pt(0, 0), 1000, 3)
 	if err != nil {
@@ -162,8 +173,10 @@ func TestIncrementalMatchesFullRebuild(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			inc := newShardFixture(t, 3, 18, gr)
+			inc.m.AudibilityMarginDB = 0
 			inc.run()
 			full := newShardFixture(t, 3, 18, gr)
+			full.m.AudibilityMarginDB = 0
 			full.rebuildOnMove = true
 			full.run()
 

@@ -27,6 +27,7 @@ type stream struct {
 	credit     *float64
 	creditRate float64 // bytes per second
 	creditEv   sim.Handle
+	tick       func() // the credit timer's callback, bound on first use
 	active     bool
 }
 
@@ -169,15 +170,18 @@ func (e *Endpoint) StartCBRStream(dst frame.NodeID, payloadFn func() int, bitsPe
 }
 
 func (e *Endpoint) scheduleCredit(s *stream) {
-	s.creditEv = e.eng.AfterTagged(creditInterval, sim.TagComap, int32(e.m.ID()), func() {
-		*s.credit += s.creditRate * creditInterval.Seconds()
-		// Cap the bucket at one second of traffic to bound bursts.
-		if bucketCap := s.creditRate; *s.credit > bucketCap {
-			*s.credit = bucketCap
+	if s.tick == nil {
+		s.tick = func() {
+			*s.credit += s.creditRate * creditInterval.Seconds()
+			// Cap the bucket at one second of traffic to bound bursts.
+			if bucketCap := s.creditRate; *s.credit > bucketCap {
+				*s.credit = bucketCap
+			}
+			e.pump()
+			e.scheduleCredit(s)
 		}
-		e.pump()
-		e.scheduleCredit(s)
-	})
+	}
+	s.creditEv = e.eng.AfterTagged(creditInterval, sim.TagComap, int32(e.m.ID()), s.tick)
 }
 
 // StopStream halts all outgoing streams (pending frames drain normally).
@@ -322,13 +326,13 @@ func (e *Endpoint) onAckInfo(f frame.Frame) {
 
 // makeAck builds the selective-repeat acknowledgement for a received data
 // frame: the highest received sequence number plus the 32-frame bitmap.
-func (e *Endpoint) makeAck(data frame.Frame) *frame.Frame {
+func (e *Endpoint) makeAck(data frame.Frame) (frame.Frame, bool) {
 	r, ok := e.recv[data.Src]
 	if !ok {
-		return &frame.Frame{Kind: frame.Ack, Src: e.m.ID(), Dst: data.Src, Seq: data.Seq}
+		return frame.Frame{Kind: frame.Ack, Src: e.m.ID(), Dst: data.Src, Seq: data.Seq}, true
 	}
 	// Anchor the ACK at the just-received frame so that even retransmitted
 	// holes far behind the highest sequence number are acknowledged.
 	ackSeq, bitmap := r.AckFor(data.Seq)
-	return &frame.Frame{Kind: frame.SRAck, Src: e.m.ID(), Dst: data.Src, Seq: ackSeq, Bitmap: bitmap}
+	return frame.Frame{Kind: frame.SRAck, Src: e.m.ID(), Dst: data.Src, Seq: ackSeq, Bitmap: bitmap}, true
 }

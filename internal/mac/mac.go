@@ -76,8 +76,8 @@ type Hooks struct {
 	// before sequence matching, so selective-repeat state can be repaired.
 	OnAckInfo func(f frame.Frame)
 	// MakeAck builds the acknowledgement for a received data frame. nil
-	// uses the standard ACK; returning nil suppresses the ACK.
-	MakeAck func(data frame.Frame) *frame.Frame
+	// uses the standard ACK; returning false suppresses the ACK.
+	MakeAck func(data frame.Frame) (frame.Frame, bool)
 }
 
 // Config parameterises a MAC instance.
@@ -203,6 +203,12 @@ type MAC struct {
 	ctsTimeoutEv sim.Handle
 
 	ackPending bool
+	// ctl is the ACK or CTS waiting out its SIFS. One suffices: replies
+	// answer frame ends, which are at least one airtime (> SIFS) apart.
+	ctl frame.Frame
+
+	// Timer callbacks bound once in New, so re-arming one allocates nothing.
+	deferFn, slotFn, ackTimeoutFn, ctsTimeoutFn, navFn, concExpiryFn, ctsDataFn, ctlFn func()
 
 	concurrent   bool
 	concPending  bool
@@ -256,6 +262,8 @@ func New(eng *sim.Engine, tr *channel.Transceiver, cfg Config) *MAC {
 		etDeltaMW: radio.DBmToMilliwatts(cfg.ETDeltaDBm),
 	}
 	m.cw = m.initialCW()
+	m.deferFn, m.slotFn, m.ackTimeoutFn, m.ctsTimeoutFn = m.onDeferComplete, m.onSlot, m.onAckTimeout, m.onCTSTimeout
+	m.navFn, m.concExpiryFn, m.ctsDataFn, m.ctlFn = m.onNAVExpiry, m.onConcExpiry, m.onCTSSIFS, m.sendCtl
 	m.rateKey = make(map[string]string, len(cfg.PHY.Rates)+1)
 	for _, r := range cfg.PHY.Rates {
 		m.rateKey[r.Name] = "tx.rate." + r.Name
@@ -478,12 +486,14 @@ func (m *MAC) setNAV(d time.Duration) {
 	}
 	m.eng.Cancel(m.navEv)
 	m.navActive = true
-	m.navEv = m.after(d, func() {
-		m.navEv = sim.Handle{}
-		m.navActive = false
-		m.reevaluateAccess()
-		m.touchAir()
-	})
+	m.navEv = m.after(d, m.navFn)
+	m.reevaluateAccess()
+	m.touchAir()
+}
+
+func (m *MAC) onNAVExpiry() {
+	m.navEv = sim.Handle{}
+	m.navActive = false
 	m.reevaluateAccess()
 	m.touchAir()
 }
@@ -505,7 +515,7 @@ func (m *MAC) scheduleDefer() {
 	if m.eifs {
 		d = m.cfg.PHY.EIFS()
 	}
-	m.difsEv = m.after(d, m.onDeferComplete)
+	m.difsEv = m.after(d, m.deferFn)
 	m.touchAir()
 }
 
@@ -516,7 +526,7 @@ func (m *MAC) onDeferComplete() {
 		m.beginTx()
 		return
 	}
-	m.slotEv = m.after(m.cfg.PHY.SlotTime, m.onSlot)
+	m.slotEv = m.after(m.cfg.PHY.SlotTime, m.slotFn)
 	m.touchAir()
 }
 
@@ -527,7 +537,7 @@ func (m *MAC) onSlot() {
 		m.beginTx()
 		return
 	}
-	m.slotEv = m.after(m.cfg.PHY.SlotTime, m.onSlot)
+	m.slotEv = m.after(m.cfg.PHY.SlotTime, m.slotFn)
 }
 
 // --- transmission -------------------------------------------------------
@@ -602,7 +612,7 @@ func (m *MAC) TransmitDone(f frame.Frame) {
 	switch {
 	case f.Kind == frame.RTS && m.st == phaseTxRTS:
 		m.st = phaseWaitCTS
-		m.ctsTimeoutEv = m.after(m.ctsTimeout(), m.onCTSTimeout)
+		m.ctsTimeoutEv = m.after(m.ctsTimeout(), m.ctsTimeoutFn)
 	case f.Kind == frame.ComapHeader && m.st == phaseTxHeader:
 		m.sendData()
 	case m.st == phaseTxData && (f.Kind == frame.Data || f.Kind == frame.LocationBeacon):
@@ -611,7 +621,7 @@ func (m *MAC) TransmitDone(f frame.Frame) {
 			return
 		}
 		m.st = phaseWaitAck
-		m.ackTimeoutEv = m.after(m.cfg.PHY.ACKTimeout(), m.onAckTimeout)
+		m.ackTimeoutEv = m.after(m.cfg.PHY.ACKTimeout(), m.ackTimeoutFn)
 	case f.IsAck() || f.Kind == frame.CTS:
 		m.ackPending = false
 		m.resumeAfterAck()
@@ -717,9 +727,10 @@ func (m *MAC) onAckTimeout() {
 // frames that complete successfully without an acknowledgement.
 func (m *MAC) completeCurrent(acked bool, reason string) {
 	cur := m.queue[0]
-	m.queue = m.queue[1:]
 	elapsed := m.eng.Now() - m.queuedAt[0]
-	m.queuedAt = m.queuedAt[1:]
+	// Shift down in place: reslicing would make Enqueue reallocate.
+	m.queue = m.queue[:copy(m.queue, m.queue[1:])]
+	m.queuedAt = m.queuedAt[:copy(m.queuedAt, m.queuedAt[1:])]
 	if acked {
 		m.accessLatency.Observe(elapsed)
 		if cur.Kind == frame.Data && cur.Dst != frame.Broadcast {
@@ -815,14 +826,17 @@ func (m *MAC) FrameReceived(f frame.Frame, ok bool, rssi float64) {
 			}
 			m.eng.Cancel(m.ctsTimeoutEv)
 			m.ctsTimeoutEv = sim.Handle{}
-			m.after(m.cfg.PHY.SIFS, func() {
-				if m.st == phaseWaitCTS && !m.tr.Transmitting() {
-					m.sendData()
-				}
-			})
+			m.after(m.cfg.PHY.SIFS, m.ctsDataFn)
 			return
 		}
 		m.setNAV(m.exchangeNAV(frame.CTS, f.PayloadBytes))
+	}
+}
+
+// onCTSSIFS sends the data frame SIFS after its CTS arrived.
+func (m *MAC) onCTSSIFS() {
+	if m.st == phaseWaitCTS && !m.tr.Transmitting() {
+		m.sendData()
 	}
 }
 
@@ -851,23 +865,7 @@ func (m *MAC) promoteConcurrent(ongoingSrc, ongoingDst frame.NodeID) bool {
 
 // scheduleCTS answers an RTS addressed to this node SIFS later.
 func (m *MAC) scheduleCTS(rts frame.Frame) {
-	cts := frame.Frame{Kind: frame.CTS, Src: m.ID(), Dst: rts.Src, PayloadBytes: rts.PayloadBytes}
-	m.ackPending = true
-	m.cancelAccessTimers()
-	m.touchAir()
-	m.after(m.cfg.PHY.SIFS, func() {
-		if m.tr.Transmitting() {
-			m.ackPending = false
-			m.resumeAfterAck()
-			return
-		}
-		airtime := m.cfg.PHY.FrameAirtime(m.cfg.PHY.BasicRate, cts.AirBytes())
-		if err := m.tr.Transmit(cts, m.cfg.PHY.BasicRate, airtime); err != nil {
-			m.ackPending = false
-			m.resumeAfterAck()
-		}
-		m.touchAir()
-	})
+	m.scheduleCtl(frame.Frame{Kind: frame.CTS, Src: m.ID(), Dst: rts.Src, PayloadBytes: rts.PayloadBytes})
 }
 
 // ackCovers reports whether the acknowledgement frame confirms reception of
@@ -938,37 +936,43 @@ func (m *MAC) onHeaderDecoded(f frame.Frame, _ float64) {
 	// edge; a one-slot expiry bounds it in case the announced data never
 	// appears.
 	m.concPending = true
-	m.concExpiryEv = m.after(m.cfg.PHY.SlotTime, func() {
-		m.concExpiryEv = sim.Handle{}
-		m.concPending = false
-	})
+	m.concExpiryEv = m.after(m.cfg.PHY.SlotTime, m.concExpiryFn)
+}
+
+func (m *MAC) onConcExpiry() {
+	m.concExpiryEv = sim.Handle{}
+	m.concPending = false
 }
 
 func (m *MAC) scheduleAck(data frame.Frame) {
-	ack := &frame.Frame{Kind: frame.Ack, Src: m.ID(), Dst: data.Src, Seq: data.Seq}
+	ack, ok := frame.Frame{Kind: frame.Ack, Src: m.ID(), Dst: data.Src, Seq: data.Seq}, true
 	if m.hooks.MakeAck != nil {
-		ack = m.hooks.MakeAck(data)
+		ack, ok = m.hooks.MakeAck(data)
 	}
-	if ack == nil {
-		return
+	if ok {
+		m.scheduleCtl(ack)
 	}
+}
+
+// scheduleCtl holds the medium for a control reply (ACK or CTS) and sends
+// it SIFS later.
+func (m *MAC) scheduleCtl(f frame.Frame) {
+	m.ctl = f
 	m.ackPending = true
 	m.cancelAccessTimers()
 	m.touchAir()
-	m.after(m.cfg.PHY.SIFS, func() {
-		if m.tr.Transmitting() {
-			// Should not happen (half-duplex discipline), but never wedge.
-			m.ackPending = false
-			m.resumeAfterAck()
-			return
-		}
-		m.transmitAck(*ack)
-	})
+	m.after(m.cfg.PHY.SIFS, m.ctlFn)
 }
 
-func (m *MAC) transmitAck(ack frame.Frame) {
-	airtime := m.cfg.PHY.FrameAirtime(m.cfg.PHY.BasicRate, ack.AirBytes())
-	if err := m.tr.Transmit(ack, m.cfg.PHY.BasicRate, airtime); err != nil {
+func (m *MAC) sendCtl() {
+	if m.tr.Transmitting() {
+		// Should not happen (half-duplex discipline), but never wedge.
+		m.ackPending = false
+		m.resumeAfterAck()
+		return
+	}
+	airtime := m.cfg.PHY.FrameAirtime(m.cfg.PHY.BasicRate, m.ctl.AirBytes())
+	if err := m.tr.Transmit(m.ctl, m.cfg.PHY.BasicRate, airtime); err != nil {
 		m.ackPending = false
 		m.resumeAfterAck()
 	}

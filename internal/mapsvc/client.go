@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/comap"
@@ -156,9 +157,9 @@ type fireCall struct {
 // the degradation ladder (stale cache → coarse geometry → DCF). One client
 // serves every agent — control-plane health is global.
 //
-// All state is guarded by one mutex; the transport is always invoked with
-// the mutex released, so inline completions (the zero-fault fast path) and
-// status scrapes under load are both safe.
+// All state but the map-hit atomics is guarded by one mutex; the transport
+// is always invoked with the mutex released, so inline completions (the
+// zero-fault fast path) and status scrapes under load are both safe.
 type Client struct {
 	cfg       ClientConfig
 	transport Transport
@@ -186,6 +187,11 @@ type Client struct {
 	rungSince     time.Duration
 	rungDecisions [4]int64
 	transitions   int64
+	// hitFast mirrors "breaker closed and rung fresh" (stored under mu),
+	// where a map hit changes nothing but the fresh-rung count: such hits
+	// skip the mutex and count into freshHits, which Status adds in.
+	hitFast   atomic.Bool
+	freshHits atomic.Int64
 
 	nextReq      uint64
 	breakerOpens int64
@@ -223,6 +229,7 @@ func NewClient(transport Transport, cfg ClientConfig, widenMeters float64) *Clie
 		tokensMilli:  int64(cfg.Burst * 1000),
 		rung:         RungFresh,
 	}
+	c.hitFast.Store(true)
 	if cfg.Now != nil {
 		c.lastRefill = cfg.Now()
 		c.rungSince = cfg.Now()
@@ -263,9 +270,14 @@ func (c *Client) AdoptEpoch(epoch uint64) {
 
 // Verdict implements comap.RemoteVerdicts: cachedAllowed and found are the
 // agent's co-occurrence-map lookup for the decision. A hit on a closed
-// breaker is served from it under one lock; everything else asks the
+// breaker is served from it: lock-free while the ladder is on the fresh
+// rung, under one lock when it must climb back. Everything else asks the
 // control plane and, when that fails, degrades down the ladder.
 func (c *Client) Verdict(observer frame.NodeID, ongoing comap.Link, myDst frame.NodeID, cachedAllowed, found bool) comap.RemoteVerdict {
+	if found && c.hitFast.Load() {
+		c.freshHits.Add(1)
+		return comap.RemoteVerdict{Source: comap.RemoteCachedFresh, Allowed: cachedAllowed}
+	}
 	key := Key{Observer: observer, Ongoing: ongoing, MyDst: myDst}
 	now := c.cfg.Now()
 
@@ -348,7 +360,12 @@ func (c *Client) serveRungLocked(r Rung, req uint64) {
 			c.rungSince = c.cfg.Now()
 		}
 		c.transitions++
+		c.publishHitFastLocked()
 	}
+}
+
+func (c *Client) publishHitFastLocked() {
+	c.hitFast.Store(c.breaker == breakerClosed && c.rung == RungFresh)
 }
 
 // newCallLocked opens a call attempt. req 0 assigns a fresh request ID
@@ -588,6 +605,7 @@ func (c *Client) setBreakerLocked(state int) {
 		c.breakerOpens++
 	}
 	c.breaker = state
+	c.publishHitFastLocked()
 }
 
 func (c *Client) allowCallLocked(now time.Duration) bool {
@@ -910,7 +928,7 @@ func (c *Client) Status() ClientStatus {
 		st.RungDwellSec = (c.cfg.Now() - c.rungSince).Seconds()
 	}
 	st.RungDecisions = map[string]int64{
-		RungFresh.String():  c.rungDecisions[RungFresh],
+		RungFresh.String():  c.rungDecisions[RungFresh] + c.freshHits.Load(),
 		RungStale.String():  c.rungDecisions[RungStale],
 		RungCoarse.String(): c.rungDecisions[RungCoarse],
 		RungDCF.String():    c.rungDecisions[RungDCF],

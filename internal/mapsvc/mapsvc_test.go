@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -600,6 +601,50 @@ func TestClientFreshInlineAndCachedFresh(t *testing.T) {
 	}
 	if st.Breaker != "closed" || st.Rung != "fresh" {
 		t.Fatalf("status = %+v", st)
+	}
+}
+
+// TestClientHitPathConcurrentWithStatus drives fresh-rung map hits, which
+// take the lock-free path, from several goroutines while another scrapes
+// Status (run under -race), then checks every hit was counted on the fresh
+// rung and that an open breaker takes hits off the lock-free path.
+func TestClientHitPathConcurrentWithStatus(t *testing.T) {
+	cfg := DefaultClientConfig()
+	cfg.BreakerFailures = 1
+	cfg.MaxRetries = 0
+	c, tr, _ := clientHarness(cfg)
+	const workers, hits = 4, 500
+	k := verdictKey(3)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < hits; i++ {
+				if v := c.Verdict(k.Observer, k.Ongoing, k.MyDst, true, true); v.Source != comap.RemoteCachedFresh || !v.Allowed {
+					t.Errorf("hit = %+v, want cached-fresh allow", v)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 100; i++ {
+			_ = c.Status()
+		}
+	}()
+	wg.Wait()
+	<-done
+	if st := c.Status(); st.RungDecisions["fresh"] != workers*hits || st.Calls != 0 {
+		t.Fatalf("after %d hits: fresh = %d, calls = %d", workers*hits, st.RungDecisions["fresh"], st.Calls)
+	}
+
+	tr.mode = "err"
+	askRemote(c, 5) // one failure opens the breaker
+	if v := c.Verdict(k.Observer, k.Ongoing, k.MyDst, true, true); v.Source == comap.RemoteCachedFresh {
+		t.Fatalf("hit on an open breaker served cached-fresh: %+v", v)
 	}
 }
 

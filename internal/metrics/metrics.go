@@ -251,11 +251,23 @@ type StateClock struct {
 	now   func() time.Duration
 	state string
 	since time.Duration
-	acc   map[string]time.Duration
+	// names[i] is the i-th state ever left, acc[i] its total: a few states.
+	names []string
+	acc   []time.Duration
 }
 
 func newStateClock(now func() time.Duration, initial string) *StateClock {
-	return &StateClock{now: now, state: initial, since: now(), acc: make(map[string]time.Duration)}
+	return &StateClock{now: now, state: initial, since: now()}
+}
+
+// slot returns state's index in names, or -1 if it was never left.
+func (s *StateClock) slot(state string) int {
+	for i, n := range s.names {
+		if n == state {
+			return i
+		}
+	}
+	return -1
 }
 
 // Set transitions to state, charging the time since the last transition to
@@ -272,7 +284,12 @@ func (s *StateClock) Set(state string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.now()
-	s.acc[s.state] += t - s.since
+	i := s.slot(s.state)
+	if i < 0 {
+		i = len(s.names)
+		s.names, s.acc = append(s.names, s.state), append(s.acc, 0)
+	}
+	s.acc[i] += t - s.since
 	s.state, s.since = state, t
 }
 
@@ -294,7 +311,10 @@ func (s *StateClock) In(state string) time.Duration {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d := s.acc[state]
+	var d time.Duration
+	if i := s.slot(state); i >= 0 {
+		d = s.acc[i]
+	}
 	if state == s.state {
 		d += s.now() - s.since
 	}
@@ -310,8 +330,8 @@ func (s *StateClock) Breakdown() map[string]time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[string]time.Duration, len(s.acc)+1)
-	for k, v := range s.acc {
-		out[k] = v
+	for i, k := range s.names {
+		out[k] = s.acc[i]
 	}
 	out[s.state] += s.now() - s.since
 	return out

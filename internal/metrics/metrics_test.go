@@ -134,6 +134,35 @@ func TestStateClockSumsToElapsed(t *testing.T) {
 	}
 }
 
+// TestStateClockKeysAndAllocs pins what Breakdown lists — every state ever
+// left (even after zero time in it) plus the current one, never a state
+// not yet entered — and that switching among seen states allocates nothing.
+func TestStateClockKeysAndAllocs(t *testing.T) {
+	now := time.Duration(0)
+	sc := newStateClock(func() time.Duration { return now }, "idle")
+	sc.Set("tx") // leaves "idle" after zero time
+	now = 5 * time.Millisecond
+	b := sc.Breakdown()
+	if len(b) != 2 || b["idle"] != 0 || b["tx"] != 5*time.Millisecond {
+		t.Fatalf("breakdown = %v, want idle:0 tx:5ms", b)
+	}
+	if _, ok := sc.Breakdown()["busy"]; ok || sc.In("busy") != 0 {
+		t.Fatal("a state never entered shows in the breakdown")
+	}
+	states := []string{"idle", "tx", "busy", "wait"}
+	for _, st := range states {
+		sc.Set(st)
+	}
+	k := 0
+	if n := testing.AllocsPerRun(100, func() {
+		now += time.Microsecond
+		k++
+		sc.Set(states[k%len(states)])
+	}); n != 0 {
+		t.Errorf("Set between seen states allocates %v times, want 0", n)
+	}
+}
+
 func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("tx").Add(7)

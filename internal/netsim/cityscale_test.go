@@ -91,6 +91,7 @@ func runCity(t *testing.T, top topology.Topology, tr *topology.LocTrace, opts ne
 	if err := n.Audit.Err(); err != nil {
 		t.Fatalf("ledger write: %v", err)
 	}
+	netsim.CheckRunInvariants(t, n)
 	rep := n.Report(res)
 	rep.Engine.WallSec = 0
 	rep.Engine.EventsPerSec = 0

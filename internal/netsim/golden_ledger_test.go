@@ -35,6 +35,7 @@ func runAudited(t *testing.T, sc goldenscn.Scenario, cfg audit.Config, buf *byte
 	if err := n.Audit.Err(); err != nil {
 		t.Fatalf("%s: ledger write: %v", sc.Name, err)
 	}
+	netsim.CheckRunInvariants(t, n)
 	rep := n.Report(res)
 	rep.Engine.WallSec = 0
 	rep.Engine.EventsPerSec = 0

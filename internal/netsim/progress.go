@@ -101,6 +101,8 @@ func (n *Network) Progress() Progress {
 		p.Speedup = p.SimSec / wall.Seconds()
 		p.EventsPerSec = float64(p.Events) / wall.Seconds()
 	}
+	// One allocation per snapshot: per-step samplers call this mid-run.
+	p.Flows = make([]FlowProgress, 0, len(n.Top.Flows))
 	for _, f := range n.Top.Flows {
 		fp := FlowProgress{Src: f.Src, Dst: f.Dst}
 		if s := n.sliceSeries[f]; s != nil {

@@ -23,6 +23,7 @@ func runReportScenario(t *testing.T, slice time.Duration) (*Network, *Report) {
 	}
 	n.StartSlicing(slice)
 	res := n.Run()
+	CheckRunInvariants(t, n)
 	return n, n.Report(res)
 }
 

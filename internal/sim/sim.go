@@ -84,11 +84,13 @@ type Engine struct {
 	// Per-stream RNG draw counters for the audit plane (rngaudit.go);
 	// nil unless EnableRNGAccounting was called before stream creation.
 	rngCounts map[string]*uint64
+	// transient is the one stream TransientRNG reseeds in place.
+	transient *rand.Rand
 }
 
 // New returns an engine with its clock at zero, seeded with seed.
 func New(seed int64) *Engine {
-	return &Engine{seed: seed, curOwner: NoOwner}
+	return &Engine{seed: seed, curOwner: NoOwner, transient: rand.New(rand.NewSource(0))}
 }
 
 // Now returns the current virtual time. Safe for concurrent readers.
@@ -210,9 +212,7 @@ func (e *Engine) Pending() int { return e.pending }
 // the stream name. Equal (seed, name) pairs always produce identical streams,
 // so adding a new consumer does not perturb existing ones.
 func (e *Engine) RNG(name string) *rand.Rand {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	src := rand.NewSource(e.seed ^ int64(h.Sum64()))
+	src := rand.NewSource(e.streamSeed([]byte(name)))
 	if e.rngCounts != nil {
 		n := e.rngCounts[name]
 		if n == nil {
@@ -222,6 +222,26 @@ func (e *Engine) RNG(name string) *rand.Rand {
 		src = wrapCounting(src, n)
 	}
 	return rand.New(src)
+}
+
+// TransientRNG returns the stream RNG(string(name)) would, valid until the
+// next call, for a caller that takes a few draws. Unaudited, it reseeds one
+// source in place (rand.NewSource runs the same Seed on a fresh one): same
+// draws, no allocation. With RNG accounting on it is RNG's counted stream.
+func (e *Engine) TransientRNG(name []byte) *rand.Rand {
+	if e.rngCounts != nil {
+		return e.RNG(string(name))
+	}
+	e.transient.Seed(e.streamSeed(name))
+	return e.transient
+}
+
+// streamSeed derives a named stream's seed: the engine seed XOR the name's
+// FNV-1a hash (devirtualized by the compiler, so it does not allocate).
+func (e *Engine) streamSeed(name []byte) int64 {
+	h := fnv.New64a()
+	h.Write(name)
+	return e.seed ^ int64(h.Sum64())
 }
 
 // eventQueue is a binary min-heap of events ordered by (at, seq), with each

@@ -32,6 +32,7 @@ type source struct {
 	credit   *float64
 	rateBps  float64
 	creditEv sim.Handle
+	tick     func() // the credit timer's callback, bound on first use
 	active   bool
 }
 
@@ -108,14 +109,17 @@ func (p *Peer) StartCBR(dst frame.NodeID, payloadFn func() int, bitsPerSec float
 }
 
 func (p *Peer) scheduleCredit(s *source) {
-	s.creditEv = p.eng.AfterTagged(creditInterval, sim.TagTraffic, int32(p.m.ID()), func() {
-		*s.credit += s.rateBps / 8 * creditInterval.Seconds()
-		if bucketCap := s.rateBps / 8; *s.credit > bucketCap {
-			*s.credit = bucketCap
+	if s.tick == nil {
+		s.tick = func() {
+			*s.credit += s.rateBps / 8 * creditInterval.Seconds()
+			if bucketCap := s.rateBps / 8; *s.credit > bucketCap {
+				*s.credit = bucketCap
+			}
+			p.pump()
+			p.scheduleCredit(s)
 		}
-		p.pump()
-		p.scheduleCredit(s)
-	})
+	}
+	s.creditEv = p.eng.AfterTagged(creditInterval, sim.TagTraffic, int32(p.m.ID()), s.tick)
 }
 
 // StartPoisson begins a Poisson arrival process with the given mean frame
