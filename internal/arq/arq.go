@@ -90,18 +90,6 @@ func (s *Sender) Instrument(reg *metrics.Registry, now func() time.Duration) {
 	s.mDropped = reg.Counter("arq.dropped")
 }
 
-// Window returns the configured send window size.
-func (s *Sender) Window() int { return s.window }
-
-// InFlight returns the number of unacknowledged frames.
-func (s *Sender) InFlight() int { return len(s.inflight) }
-
-// Dropped returns the number of frames abandoned after MaxAttempts.
-func (s *Sender) Dropped() int { return s.dropped }
-
-// Acked returns the number of frames confirmed delivered.
-func (s *Sender) Acked() int { return s.delivered }
-
 // Next returns the sequence number and payload length of the next frame to
 // transmit. While the window has room it mints a new sequence number with
 // newPayload bytes; once the window is full it returns the oldest
@@ -256,16 +244,6 @@ func (r *Receiver) mark(s uint16) { r.seen[s%horizon/64] |= 1 << (s % 64) }
 // were, as far as the receiver remembers.
 func (r *Receiver) has(s uint16) bool {
 	return uint16(r.highest-s) < horizon && r.seen[s%horizon/64]&(1<<(s%64)) != 0
-}
-
-// Ack returns the acknowledgement for the most recent reception: the highest
-// received sequence number and a bitmap where bit i set means seq-1-i was
-// received. Calling Ack before any data returns ok=false.
-func (r *Receiver) Ack() (ackSeq uint16, bitmap uint32, ok bool) {
-	if !r.started {
-		return 0, 0, false
-	}
-	return r.highest, r.bitmapBefore(r.highest), true
 }
 
 // AckFor returns an acknowledgement anchored at the just-received sequence

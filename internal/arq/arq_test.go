@@ -8,12 +8,12 @@ import (
 
 func TestSenderDefaults(t *testing.T) {
 	s := NewSender(0, 0)
-	if s.Window() != DefaultWindow {
-		t.Errorf("Window = %d", s.Window())
+	if s.window != DefaultWindow {
+		t.Errorf("Window = %d", s.window)
 	}
 	s = NewSender(100, 5)
-	if s.Window() != 32 {
-		t.Errorf("Window should clamp to 32, got %d", s.Window())
+	if s.window != 32 {
+		t.Errorf("Window should clamp to 32, got %d", s.window)
 	}
 }
 
@@ -31,8 +31,8 @@ func TestSenderFillsWindowWithNewFrames(t *testing.T) {
 			t.Errorf("payload = %d", payload)
 		}
 	}
-	if s.InFlight() != 4 {
-		t.Errorf("InFlight = %d", s.InFlight())
+	if len(s.inflight) != 4 {
+		t.Errorf("InFlight = %d", len(s.inflight))
 	}
 	// Window full: the next call retransmits the oldest hole.
 	seq, payload, retry := s.Next(999)
@@ -70,8 +70,8 @@ func TestOnAckSingle(t *testing.T) {
 	if frames != 1 || bytes != 100 {
 		t.Errorf("frames=%d bytes=%d", frames, bytes)
 	}
-	if s.InFlight() != 1 || s.Acked() != 1 {
-		t.Errorf("InFlight=%d Acked=%d", s.InFlight(), s.Acked())
+	if len(s.inflight) != 1 || s.delivered != 1 {
+		t.Errorf("InFlight=%d Acked=%d", len(s.inflight), s.delivered)
 	}
 	// Duplicate ACK is a no-op.
 	frames, bytes = s.OnAck(0, 0)
@@ -98,8 +98,8 @@ func TestOnAckBitmapRepairsEarlierLosses(t *testing.T) {
 		// Window has room so a new frame comes first.
 		t.Fatalf("expected new frame, got retransmit of %d", seq)
 	}
-	if s.InFlight() != 2 { // the hole (2) and the new frame (5)
-		t.Errorf("InFlight = %d", s.InFlight())
+	if len(s.inflight) != 2 { // the hole (2) and the new frame (5)
+		t.Errorf("InFlight = %d", len(s.inflight))
 	}
 }
 
@@ -116,8 +116,8 @@ func TestDropAfterMaxAttempts(t *testing.T) {
 	if retry || seq != 1 {
 		t.Errorf("after drop, got seq=%d retry=%v; want fresh seq 1", seq, retry)
 	}
-	if s.Dropped() != 1 {
-		t.Errorf("Dropped = %d", s.Dropped())
+	if s.dropped != 1 {
+		t.Errorf("Dropped = %d", s.dropped)
 	}
 }
 
@@ -136,15 +136,15 @@ func TestReceiverDedup(t *testing.T) {
 
 func TestReceiverAckBitmap(t *testing.T) {
 	r := NewReceiver()
-	if _, _, ok := r.Ack(); ok {
-		t.Error("Ack before data should report !ok")
+	if r.started {
+		t.Error("receiver with no data reports started")
 	}
 	r.OnData(0)
 	r.OnData(1)
 	r.OnData(3) // 2 is missing
-	ackSeq, bitmap, ok := r.Ack()
-	if !ok || ackSeq != 3 {
-		t.Fatalf("ackSeq=%d ok=%v", ackSeq, ok)
+	ackSeq, bitmap := r.AckFor(r.highest)
+	if ackSeq != 3 {
+		t.Fatalf("ackSeq=%d", ackSeq)
 	}
 	// bit0 -> seq 2 (missing), bit1 -> seq 1 (seen), bit2 -> seq 0 (seen).
 	if bitmap&1 != 0 {
@@ -176,11 +176,10 @@ func TestSequenceWraparound(t *testing.T) {
 		if !r.OnData(seq) {
 			t.Fatalf("wrapped seq %d should be new", seq)
 		}
-		ackSeq, bitmap, _ := r.Ack()
-		s.OnAck(ackSeq, bitmap)
+		s.OnAck(r.AckFor(r.highest))
 	}
-	if s.InFlight() != 0 || s.Acked() != 6 {
-		t.Errorf("InFlight=%d Acked=%d", s.InFlight(), s.Acked())
+	if len(s.inflight) != 0 || s.delivered != 6 {
+		t.Errorf("InFlight=%d Acked=%d", len(s.inflight), s.delivered)
 	}
 }
 
@@ -196,7 +195,7 @@ func TestLossyLinkEventuallyDeliversEverything(t *testing.T) {
 		const total = 200
 		newFrames := 0
 		deliveredNew := 0
-		for steps := 0; steps < 100000 && s.Acked() < total; steps++ {
+		for steps := 0; steps < 100000 && s.delivered < total; steps++ {
 			var seq uint16
 			var retry bool
 			if newFrames < total {
@@ -204,7 +203,7 @@ func TestLossyLinkEventuallyDeliversEverything(t *testing.T) {
 				if !retry {
 					newFrames++
 				}
-			} else if s.InFlight() > 0 {
+			} else if len(s.inflight) > 0 {
 				seq, _, retry = s.Next(0)
 				if !retry {
 					newFrames++ // window had room; count it anyway
@@ -218,13 +217,12 @@ func TestLossyLinkEventuallyDeliversEverything(t *testing.T) {
 			if r.OnData(seq) {
 				deliveredNew++
 			}
-			ackSeq, bitmap, ok := r.Ack()
-			if ok && rng.Float64() >= loss {
-				s.OnAck(ackSeq, bitmap)
+			if rng.Float64() >= loss {
+				s.OnAck(r.AckFor(r.highest))
 			}
 		}
-		if s.Acked() < total {
-			t.Errorf("loss=%.1f: only %d/%d acked", loss, s.Acked(), total)
+		if s.delivered < total {
+			t.Errorf("loss=%.1f: only %d/%d acked", loss, s.delivered, total)
 		}
 		if deliveredNew < total {
 			t.Errorf("loss=%.1f: receiver got %d/%d unique frames", loss, deliveredNew, total)
@@ -243,15 +241,15 @@ func TestWindowNeverExceeded(t *testing.T) {
 		r := NewReceiver()
 		for _, op := range ops {
 			seq, _, _ := s.Next(10)
-			if s.InFlight() > 5 {
+			if len(s.inflight) > 5 {
 				return false
 			}
 			if op%3 != 0 { // deliver 2/3 of frames
 				r.OnData(seq)
 			}
 			if op%2 == 0 { // deliver half the acks
-				if ackSeq, bitmap, ok := r.Ack(); ok {
-					s.OnAck(ackSeq, bitmap)
+				if r.started {
+					s.OnAck(r.AckFor(r.highest))
 				}
 			}
 		}
@@ -382,9 +380,9 @@ func TestReceiverMatchesMapReference(t *testing.T) {
 			if _, got := r.AckFor(seq); got != ref.bitmapBefore(seq) {
 				t.Fatalf("trial %d step %d: AckFor(%d) bitmap %032b, want %032b", trial, i, seq, got, ref.bitmapBefore(seq))
 			}
-			hi, got, _ := r.Ack()
+			hi, got := r.AckFor(r.highest)
 			if hi != ref.highest || got != ref.bitmapBefore(ref.highest) {
-				t.Fatalf("trial %d step %d: Ack = %d/%032b, want %d/%032b", trial, i, hi, got, ref.highest, ref.bitmapBefore(ref.highest))
+				t.Fatalf("trial %d step %d: highest ack = %d/%032b, want %d/%032b", trial, i, hi, got, ref.highest, ref.bitmapBefore(ref.highest))
 			}
 		}
 	}

@@ -65,9 +65,6 @@ func (h *Hasher) Int64(v int64) { h.Uint64(uint64(v)) }
 // Int folds v as an int64.
 func (h *Hasher) Int(v int) { h.Int64(int64(v)) }
 
-// Int32 folds v widened to int64 (so NoOwner's sign survives).
-func (h *Hasher) Int32(v int32) { h.Int64(int64(v)) }
-
 // Uint16 folds v widened to uint64.
 func (h *Hasher) Uint16(v uint16) { h.Uint64(uint64(v)) }
 

@@ -232,17 +232,6 @@ func (t *AdaptationTable) Lookup(hidden, contenders int) Setting {
 	return row[c]
 }
 
-// MaxHidden returns the largest hidden-terminal count in the table.
-func (t *AdaptationTable) MaxHidden() int { return len(t.settings) - 1 }
-
-// MaxContenders returns the largest contender count in the table.
-func (t *AdaptationTable) MaxContenders() int {
-	if len(t.settings) == 0 {
-		return 0
-	}
-	return len(t.settings[0]) - 1
-}
-
 func clamp(v, lo, hi int) int {
 	if v < lo {
 		return lo

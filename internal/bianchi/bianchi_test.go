@@ -213,8 +213,8 @@ func TestOptimalSettingUsesDefaults(t *testing.T) {
 func TestAdaptationTable(t *testing.T) {
 	base := FromPHY(phy.DSSS(), phy.RateDSSS11)
 	tbl := NewAdaptationTable(base, 3, 6, []int{63, 255, 1023}, []int{100, 500, 1000, 1500})
-	if tbl.MaxHidden() != 3 || tbl.MaxContenders() != 6 {
-		t.Fatalf("dims = %d x %d", tbl.MaxHidden(), tbl.MaxContenders())
+	if h, c := len(tbl.settings)-1, len(tbl.settings[0])-1; h != 3 || c != 6 {
+		t.Fatalf("dims = %d x %d", h, c)
 	}
 	s := tbl.Lookup(0, 5)
 	if s.GoodputBps <= 0 {

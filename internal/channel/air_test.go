@@ -36,7 +36,7 @@ func TestLateNodeHearsNoFrameStartedBeforeIt(t *testing.T) {
 	if err := b.Transmit(frame.Frame{Kind: frame.Ack, Src: 2, Dst: 1}, phy.RateDSSS1, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	want := m.Model().MeanReceivedDBm(0, 6990)
+	want := m.model.MeanReceivedDBm(0, 6990)
 	if got := late.AggregateSignalDBm(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("after a new frame started the newcomer senses %v dBm, want only that frame's %v dBm", got, want)
 	}
@@ -68,8 +68,8 @@ type airReference struct {
 	pruned, locks, corrupted int
 }
 
-func newAirReference(m *Medium) *airReference {
-	twin := sim.New(m.Engine().Seed())
+func newAirReference(m *Medium, seed int64) *airReference {
+	twin := sim.New(seed)
 	return &airReference{
 		m:       m,
 		twin:    twin,
@@ -210,13 +210,14 @@ func TestAirListsMatchBruteForce(t *testing.T) {
 		grid *topology.Grid
 	}{{"gridless", nil}, {"grid", grid}} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := sim.New(11)
+			const seed = 11
+			eng := sim.New(seed)
 			m := NewMedium(eng, radio.NewLogNormal2400(4.0, 2.0), -95)
 			m.AudibilityMarginDB = 6 // prune the far half of the field
 			if tc.grid != nil {
 				m.SetGrid(tc.grid)
 			}
-			ref := newAirReference(m)
+			ref := newAirReference(m, seed)
 			steps := 0
 			probe := &energyProbe{check: func() { ref.checkEnergy(t, steps) }}
 			script := rand.New(rand.NewSource(5))
@@ -358,7 +359,7 @@ func BenchmarkAggregateSignal(b *testing.B) {
 func BenchmarkTransmitBusyAir(b *testing.B) {
 	for _, r := range benchRegimes(b) {
 		b.Run(r.name, func(b *testing.B) {
-			eng := r.m.Engine()
+			eng := r.m.eng
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -212,9 +212,6 @@ func (m *Medium) nodeCollisionCounter(id frame.NodeID) *metrics.Counter {
 	return m.metrics.Counter(fmt.Sprintf("collision.node.%d", id))
 }
 
-// Metrics returns the attached registry (nil if none).
-func (m *Medium) Metrics() *metrics.Registry { return m.metrics }
-
 func (m *Medium) touchAir() {
 	if len(m.active) > 0 {
 		m.air.Set("busy")
@@ -222,12 +219,6 @@ func (m *Medium) touchAir() {
 		m.air.Set("idle")
 	}
 }
-
-// Engine returns the driving simulation engine.
-func (m *Medium) Engine() *sim.Engine { return m.eng }
-
-// Model returns the propagation model in use.
-func (m *Medium) Model() radio.LogNormal { return m.model }
 
 // NoiseFloorDBm returns the receiver noise floor.
 func (m *Medium) NoiseFloorDBm() float64 { return m.noise }
@@ -247,9 +238,6 @@ func (m *Medium) SetNoiseFloorDBm(dbm float64) {
 		m.updateSINR(n)
 	}
 }
-
-// ExtraPathLossDB returns the current injected burst-fading attenuation.
-func (m *Medium) ExtraPathLossDB() float64 { return m.extraPathLossDB }
 
 // SetExtraPathLossDB sets a uniform extra attenuation on all links (a burst-
 // fading window injected by the faults layer). It applies to frames
@@ -392,20 +380,8 @@ func (t *Transceiver) SetPosition(p geom.Point) {
 	m.moveNode(t, p)
 }
 
-// TxPowerDBm returns the node's transmit power.
-func (t *Transceiver) TxPowerDBm() float64 { return t.txPower }
-
-// SetTxPowerDBm changes the node's transmit power for future frames.
-func (t *Transceiver) SetTxPowerDBm(p float64) {
-	t.txPower = p
-	t.medium.geomDirty = true
-}
-
 // Transmitting reports whether the node currently has a frame on the air.
 func (t *Transceiver) Transmitting() bool { return t.sending != nil }
-
-// Receiving reports whether the radio is locked onto an incoming frame.
-func (t *Transceiver) Receiving() bool { return t.lock != nil }
 
 // AggregateSignalDBm returns the summed in-band power of all transmissions
 // currently heard by this node (excluding its own and excluding the noise
@@ -444,9 +420,6 @@ func (m *Medium) SetGrid(g *topology.Grid) {
 	m.nbrCells = nil
 	m.geomDirty = true
 }
-
-// Grid returns the installed shard grid (nil for the implicit single cell).
-func (m *Medium) Grid() *topology.Grid { return m.grid }
 
 // audParams returns the audibility floor and the capped per-frame fading
 // excursion of the current environment. A floor of -Inf disables pruning
@@ -1022,6 +995,3 @@ func (m *Medium) staticShadowFor(a, b frame.NodeID) float64 {
 	}
 	return static
 }
-
-// SilentDBm is the aggregate power reported on an idle channel.
-var SilentDBm = math.Inf(-1)

@@ -159,7 +159,7 @@ func TestStaticShadowStatistics(t *testing.T) {
 	// model's sigma (here 4 dB) across pairs.
 	eng := sim.New(5)
 	m := NewMedium(eng, radio.NewLogNormal2400(2.9, 4), -95)
-	mean := m.Model().MeanReceivedDBm(0, 30)
+	mean := m.model.MeanReceivedDBm(0, 30)
 	var sum, sum2 float64
 	const pairs = 400
 	for i := 0; i < pairs; i++ {
@@ -182,27 +182,18 @@ func TestStaticShadowStatistics(t *testing.T) {
 func TestSetTxPower(t *testing.T) {
 	_, m := newTestMedium(t, 1)
 	a := m.AddNode(1, geom.Pt(0, 0), 0, &recorder{})
-	b := m.AddNode(2, geom.Pt(10, 0), 0, &recorder{})
-	before := m.ReceivedPowerSampleDBm(a, b)
-	a.SetTxPowerDBm(10)
-	if a.TxPowerDBm() != 10 {
-		t.Errorf("TxPowerDBm = %v", a.TxPowerDBm())
-	}
-	after := m.ReceivedPowerSampleDBm(a, b)
-	if math.Abs((after-before)-10) > 1e-9 {
-		t.Errorf("power change = %v, want +10 dB", after-before)
+	b := m.AddNode(2, geom.Pt(10, 0), 10, &recorder{})
+	c := m.AddNode(3, geom.Pt(10, 0), 0, &recorder{})
+	low := m.ReceivedPowerSampleDBm(c, a)
+	high := m.ReceivedPowerSampleDBm(b, a)
+	if math.Abs((high-low)-10) > 1e-9 {
+		t.Errorf("power change = %v, want +10 dB", high-low)
 	}
 }
 
 func TestMediumAccessors(t *testing.T) {
-	eng, m := newTestMedium(t, 1)
-	if m.Engine() != eng {
-		t.Error("Engine accessor")
-	}
+	_, m := newTestMedium(t, 1)
 	if m.NoiseFloorDBm() != -95 {
 		t.Error("NoiseFloorDBm accessor")
-	}
-	if m.Model().Alpha != 2.9 {
-		t.Error("Model accessor")
 	}
 }

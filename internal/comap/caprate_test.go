@@ -141,7 +141,7 @@ func TestRateEconomyDeniesCripplingOverlap(t *testing.T) {
 	model := testbedModel()
 	model.TPRR = 0.5 // permissive validation to isolate the economy check
 	a := NewAgent(1, model, positions)
-	if !a.Model().Coexist(positions, 5, 12, 1, 11) {
+	if !a.judge.Model.Coexist(positions, 5, 12, 1, 11) {
 		t.Fatal("setup: PRR validation should pass at TPRR=0.5")
 	}
 	a.SetRates(dsssRates())

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/bianchi"
 	"repro/internal/frame"
 	"repro/internal/loc"
 	"repro/internal/metrics"
@@ -300,14 +299,8 @@ func (a *Agent) persistentConcurrencyOK(myDst frame.NodeID, now time.Duration) b
 	return active > 0
 }
 
-// ID returns the owning node's ID.
-func (a *Agent) ID() frame.NodeID { return a.id }
-
 // Map exposes the co-occurrence map (for diagnostics and tests).
 func (a *Agent) Map() *CoOccurrenceMap { return a.cmap }
-
-// Model returns the analysis model.
-func (a *Agent) Model() Model { return a.judge.Model }
 
 // concurrencyFloorFactor is the economy threshold for concurrent
 // transmission: overlapping is only worthwhile when each link still supports
@@ -519,12 +512,4 @@ func (a *Agent) healthyOnly(ids []frame.NodeID) []frame.NodeID {
 		}
 	}
 	return out
-}
-
-// Adaptation returns the goodput-optimal (contention window, packet size)
-// for the link a.id→dst given the candidate sender population, looked up in
-// the precomputed table (paper §IV-D3).
-func (a *Agent) Adaptation(table *bianchi.AdaptationTable, dst frame.NodeID, candidates []frame.NodeID) bianchi.Setting {
-	h, c := a.CountEnvironment(dst, candidates)
-	return table.Lookup(h, c)
 }

@@ -136,14 +136,7 @@ func TestAgentCountEnvironmentAndAdaptation(t *testing.T) {
 	}
 	base := bianchi.FromPHY(phy.DSSS(), phy.RateDSSS11)
 	tbl := bianchi.NewAdaptationTable(base, 3, 6, []int{63, 255, 1023}, nil)
-	s := a.Adaptation(tbl, 10, candidates)
-	if s != tbl.Lookup(1, 2) {
-		t.Errorf("Adaptation = %+v, want table (1,2) entry", s)
-	}
-	if a.ID() != 1 {
-		t.Errorf("ID = %v", a.ID())
-	}
-	if a.Model() != m {
-		t.Error("Model accessor mismatch")
+	if s := tbl.Lookup(a.CountEnvironment(10, candidates)); s != tbl.Lookup(1, 2) {
+		t.Errorf("adaptation = %+v, want table (1,2) entry", s)
 	}
 }

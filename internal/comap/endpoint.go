@@ -46,9 +46,7 @@ type Endpoint struct {
 
 	// receiver side
 	recv      map[frame.NodeID]*arq.Receiver
-	delivered stats.GoodputMeter
 	bySrc     map[frame.NodeID]*stats.GoodputMeter
-	onDeliver func(f frame.Frame)
 	onControl func(f frame.Frame, rssiDBm float64)
 
 	metrics *metrics.Registry
@@ -96,18 +94,6 @@ func (e *Endpoint) instrument(s *arq.Sender) *arq.Sender {
 	return s
 }
 
-// MAC returns the underlying MAC.
-func (e *Endpoint) MAC() *mac.MAC { return e.m }
-
-// Sender exposes the ARQ sender state of the stream towards dst; with no
-// argument streams, it returns the first stream's sender (nil if none).
-func (e *Endpoint) Sender() *arq.Sender {
-	if len(e.streams) == 0 {
-		return nil
-	}
-	return e.streams[0].send
-}
-
 // SenderTo returns the ARQ sender for the stream towards dst, or nil.
 func (e *Endpoint) SenderTo(dst frame.NodeID) *arq.Sender {
 	for _, s := range e.streams {
@@ -117,10 +103,6 @@ func (e *Endpoint) SenderTo(dst frame.NodeID) *arq.Sender {
 	}
 	return nil
 }
-
-// Delivered returns the unique-payload meter of the receive side. Duplicate
-// retransmissions are not counted, so this is true goodput.
-func (e *Endpoint) Delivered() *stats.GoodputMeter { return &e.delivered }
 
 // DeliveredFrom returns the per-source unique-payload meter (created on
 // first use).
@@ -132,10 +114,6 @@ func (e *Endpoint) DeliveredFrom(src frame.NodeID) *stats.GoodputMeter {
 	}
 	return g
 }
-
-// OnDeliver registers a callback invoked for each newly delivered (unique)
-// data frame.
-func (e *Endpoint) OnDeliver(fn func(f frame.Frame)) { e.onDeliver = fn }
 
 // StartStream begins a saturated stream towards dst. payloadFn is consulted
 // for every newly minted frame, so CO-MAP's packet-size adaptation takes
@@ -307,11 +285,7 @@ func (e *Endpoint) onReceive(f frame.Frame, _ float64) {
 		e.recv[f.Src] = r
 	}
 	if r.OnData(f.Seq) {
-		e.delivered.AddPayload(f.PayloadBytes)
 		e.DeliveredFrom(f.Src).AddPayload(f.PayloadBytes)
-		if e.onDeliver != nil {
-			e.onDeliver(f)
-		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/frame"
 	"repro/internal/geom"
 	"repro/internal/mac"
+	"repro/internal/metrics"
 	"repro/internal/phy"
 	"repro/internal/radio"
 	"repro/internal/sim"
@@ -36,6 +37,17 @@ func buildLink(seed int64, sigmaDB, dist float64, window int) (eng *sim.Engine, 
 	return eng, tx, rx
 }
 
+// arqCounts instruments ep's future streams and returns a reader of how many
+// frames their ARQ senders saw acknowledged and how many they dropped.
+func arqCounts(ep *Endpoint) func() (acked, dropped int64) {
+	reg := metrics.NewRegistry()
+	ep.SetMetrics(reg)
+	return func() (int64, int64) {
+		snap := reg.Snapshot()
+		return int64(snap.Timings["arq.delivery_latency"].N), snap.Counters["arq.dropped"]
+	}
+}
+
 // TestEndpointSaturatedStreamDelivers runs a saturated stream over a clean
 // link with the default window and with a window of one, which still
 // delivers, just with more head-of-line stalling.
@@ -50,21 +62,23 @@ func TestEndpointSaturatedStreamDelivers(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("window-%d", tc.window), func(t *testing.T) {
 			eng, tx, rx := buildLink(1, 0, 10, tc.window)
+			counts := arqCounts(tx)
 			tx.StartStream(2, func() int { return 1000 })
 			eng.RunUntil(time.Second)
 
-			if rx.Delivered().Frames() == 0 {
+			if rx.DeliveredFrom(1).Frames() == 0 {
 				t.Fatal("no frames delivered")
 			}
-			if mbps := rx.Delivered().Mbps(time.Second); mbps < tc.minMbps {
+			if mbps := rx.DeliveredFrom(1).BitsPerSecond(time.Second) / 1e6; mbps < tc.minMbps {
 				t.Errorf("goodput = %v Mbps, want > %v", mbps, tc.minMbps)
 			}
 			// The sender's ARQ should have learned about the deliveries.
-			if tx.Sender().Acked() == 0 {
+			acked, dropped := counts()
+			if acked == 0 {
 				t.Error("sender never saw an SR ACK")
 			}
-			if tx.Sender().Dropped() != 0 {
-				t.Errorf("clean link dropped %d frames", tx.Sender().Dropped())
+			if dropped != 0 {
+				t.Errorf("clean link dropped %d frames", dropped)
 			}
 		})
 	}
@@ -76,8 +90,8 @@ func TestEndpointDeliveredCountsUniqueOnly(t *testing.T) {
 	tx.StartStream(2, func() int { return 500 })
 	eng.RunUntil(2 * time.Second)
 
-	sent := tx.MAC().Stats().Get("tx.data")
-	delivered := rx.Delivered().Frames()
+	sent := tx.m.Stats().Get("tx.data")
+	delivered := rx.DeliveredFrom(1).Frames()
 	if delivered == 0 {
 		t.Fatal("nothing delivered on marginal link")
 	}
@@ -85,26 +99,20 @@ func TestEndpointDeliveredCountsUniqueOnly(t *testing.T) {
 		t.Errorf("delivered %d >= transmissions %d on lossy link (dedup broken?)", delivered, sent)
 	}
 	// Retransmissions must have happened (that's the point of SR ARQ here).
-	if tx.MAC().Stats().Get("ack.timeout") == 0 {
+	if tx.m.Stats().Get("ack.timeout") == 0 {
 		t.Error("expected ACK timeouts on marginal link")
 	}
 }
 
 func TestEndpointSRAckUsed(t *testing.T) {
 	eng, tx, rx := buildLink(3, 0, 10, 8)
-	deliveredSeqs := make(map[uint16]bool)
-	rx.OnDeliver(func(f frame.Frame) {
-		if deliveredSeqs[f.Seq] {
-			t.Errorf("seq %d delivered twice", f.Seq)
-		}
-		deliveredSeqs[f.Seq] = true
-	})
+	counts := arqCounts(tx)
 	tx.StartStream(2, func() int { return 800 })
 	eng.RunUntil(500 * time.Millisecond)
-	if tx.Sender().Acked() == 0 {
+	if acked, _ := counts(); acked == 0 {
 		t.Error("SR ACKs did not reach the sender's ARQ")
 	}
-	if len(deliveredSeqs) == 0 {
+	if rx.DeliveredFrom(1).Frames() == 0 {
 		t.Error("no deliveries")
 	}
 }
@@ -115,7 +123,7 @@ func TestEndpointCBRStreamRespectsRate(t *testing.T) {
 	tx.StartCBRStream(2, func() int { return 500 }, offered)
 	eng.RunUntil(2 * time.Second)
 
-	got := rx.Delivered().BitsPerSecond(2 * time.Second)
+	got := rx.DeliveredFrom(1).BitsPerSecond(2 * time.Second)
 	if got > 1.1*offered {
 		t.Errorf("goodput %v exceeds offered load %v", got, offered)
 	}
@@ -129,11 +137,11 @@ func TestEndpointStopStream(t *testing.T) {
 	tx.StartStream(2, func() int { return 500 })
 	eng.RunUntil(100 * time.Millisecond)
 	tx.StopStream()
-	delivered := rx.Delivered().Frames()
+	delivered := rx.DeliveredFrom(1).Frames()
 	eng.RunUntil(500 * time.Millisecond)
 	// A couple of queued frames may still drain, then the stream stops.
-	drained := rx.Delivered().Frames() - delivered
-	if drained > int64(tx.Sender().Window())+pipelineDepth {
+	drained := rx.DeliveredFrom(1).Frames() - delivered
+	if drained > int64(tx.window)+pipelineDepth {
 		t.Errorf("stream kept flowing after stop: %d extra frames", drained)
 	}
 }
@@ -148,7 +156,7 @@ func TestEndpointPayloadFunctionConsultedPerFrame(t *testing.T) {
 		return s
 	})
 	eng.RunUntil(300 * time.Millisecond)
-	if rx.Delivered().Frames() < 4 {
+	if rx.DeliveredFrom(1).Frames() < 4 {
 		t.Fatal("too few deliveries")
 	}
 	if i < 4 {
@@ -162,8 +170,8 @@ func TestEndpointTwoWayTraffic(t *testing.T) {
 	a.StartStream(2, func() int { return 700 })
 	b.StartStream(1, func() int { return 700 })
 	eng.RunUntil(time.Second)
-	if a.Delivered().Frames() == 0 || b.Delivered().Frames() == 0 {
+	if a.DeliveredFrom(2).Frames() == 0 || b.DeliveredFrom(1).Frames() == 0 {
 		t.Errorf("two-way deliveries: a=%d b=%d",
-			a.Delivered().Frames(), b.Delivered().Frames())
+			a.DeliveredFrom(2).Frames(), b.DeliveredFrom(1).Frames())
 	}
 }

@@ -50,9 +50,6 @@ func (a *Agent) SetHealth(p HealthPolicy, now func() time.Duration) {
 	a.judge.Now = now
 }
 
-// Health returns the active policy (zero when disabled).
-func (a *Agent) Health() HealthPolicy { return a.judge.Health }
-
 // fixOf resolves a peer's fix through the provider. Providers without fix
 // metadata (plain loc.Provider) are treated as always-fresh oracles with no
 // reported error: their fixes carry a negative ReportedAt, which

@@ -180,11 +180,6 @@ func (m Model) CommunicationRange() float64 {
 	return m.Prop.MeanRangeFor(m.TxPowerDBm, m.SensitivityDBm)
 }
 
-// TwoHopRange bounds the distance to any relevant ET or HT: the paper shows
-// the maximum distance between a node and its hidden or exposed terminals is
-// 2·R_t (§V, overhead discussion).
-func (m Model) TwoHopRange() float64 { return 2 * m.CommunicationRange() }
-
 // PRRTableEntry is one row of the PRR table of Fig. 5: the mutual PRRs of
 // this node's link and one neighbor's transmission.
 type PRRTableEntry struct {

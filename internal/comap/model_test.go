@@ -154,9 +154,6 @@ func TestRanges(t *testing.T) {
 	if rt < 50 || rt > 100 {
 		t.Errorf("CommunicationRange = %v, want ~72", rt)
 	}
-	if m.TwoHopRange() != 2*rt {
-		t.Error("TwoHopRange should be 2*Rt")
-	}
 }
 
 func TestPRRTable(t *testing.T) {

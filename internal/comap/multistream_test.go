@@ -8,6 +8,7 @@ import (
 	"repro/internal/frame"
 	"repro/internal/geom"
 	"repro/internal/mac"
+	"repro/internal/metrics"
 	"repro/internal/phy"
 	"repro/internal/radio"
 	"repro/internal/sim"
@@ -35,6 +36,14 @@ func TestEndpointMultiStreamRoundRobin(t *testing.T) {
 	// The AP serves two downlinks; both must make progress.
 	ap.StartStream(1, func() int { return 600 })
 	ap.StartStream(2, func() int { return 600 })
+	// Per-stream ARQ state is independent.
+	if ap.SenderTo(1) == nil || ap.SenderTo(2) == nil {
+		t.Fatal("missing stream senders")
+	}
+	acks := map[frame.NodeID]*metrics.Registry{1: metrics.NewRegistry(), 2: metrics.NewRegistry()}
+	for dst, reg := range acks {
+		ap.SenderTo(dst).Instrument(reg, eng.Now)
+	}
 	eng.RunUntil(time.Second)
 
 	g1 := c1.DeliveredFrom(100).Frames()
@@ -47,12 +56,10 @@ func TestEndpointMultiStreamRoundRobin(t *testing.T) {
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Errorf("unfair split: c1=%d c2=%d", g1, g2)
 	}
-	// Per-stream ARQ state is independent.
-	if ap.SenderTo(1) == nil || ap.SenderTo(2) == nil {
-		t.Fatal("missing stream senders")
-	}
-	if ap.SenderTo(1).Acked() == 0 || ap.SenderTo(2).Acked() == 0 {
-		t.Error("per-stream ACK accounting broken")
+	for dst, reg := range acks {
+		if reg.Snapshot().Timings["arq.delivery_latency"].N == 0 {
+			t.Errorf("stream to %d: per-stream ACK accounting broken", dst)
+		}
 	}
 	if ap.SenderTo(99) != nil {
 		t.Error("unknown stream should be nil")

@@ -242,32 +242,3 @@ func slug(s string) string {
 		}
 	}, s)
 }
-
-// meanGoodput runs the scenario over opts.Seeds seeds (in parallel on the
-// worker pool) and returns the mean goodput (bps) of the given flow.
-func meanGoodput(top topology.Topology, base netsim.Options, o Opts, flow topology.Flow) (float64, error) {
-	runs, err := runGrid(o, []gridCell{{top: top, opts: base}})
-	if err != nil {
-		return 0, err
-	}
-	return meanOverSeeds(runs[0], flow), nil
-}
-
-// medianGoodput runs the scenario over o.Seeds seeds and returns the median
-// goodput (bps) of the given flow — preferable to the mean for scenarios
-// that are bimodal across shadowing realizations.
-func medianGoodput(top topology.Topology, base netsim.Options, o Opts, flow topology.Flow) (float64, error) {
-	runs, err := runGrid(o, []gridCell{{top: top, opts: base}})
-	if err != nil {
-		return 0, err
-	}
-	samples := make([]float64, 0, o.Seeds)
-	for _, res := range runs[0] {
-		samples = append(samples, res.Goodput(flow))
-	}
-	med, err := stats.NewECDF(samples).Quantile(0.5)
-	if err != nil {
-		return 0, err
-	}
-	return med, nil
-}

@@ -18,6 +18,16 @@ func tinyOpts() Opts {
 	return Opts{Seeds: 1, Duration: 500 * time.Millisecond, Topologies: 2}
 }
 
+// meanGoodput runs the scenario over opts.Seeds seeds (in parallel on the
+// worker pool) and returns the mean goodput (bps) of the given flow.
+func meanGoodput(top topology.Topology, base netsim.Options, o Opts, flow topology.Flow) (float64, error) {
+	runs, err := runGrid(o, []gridCell{{top: top, opts: base}})
+	if err != nil {
+		return 0, err
+	}
+	return meanOverSeeds(runs[0], flow), nil
+}
+
 func TestFig1Shape(t *testing.T) {
 	res, err := Fig1(Opts{Seeds: 2, Duration: time.Second})
 	if err != nil {

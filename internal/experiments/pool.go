@@ -109,8 +109,8 @@ func runGrid(o Opts, cells []gridCell) ([][]*netsim.Results, error) {
 	return out, nil
 }
 
-// meanOverSeeds folds one cell's runs exactly like the sequential
-// meanGoodput loop: sum in seed order, divide once.
+// meanOverSeeds folds one cell's runs into the mean goodput of flow: sum in
+// seed order, divide once.
 func meanOverSeeds(runs []*netsim.Results, flow topology.Flow) float64 {
 	sum := 0.0
 	for _, r := range runs {

@@ -224,12 +224,19 @@ func TestFadeAndNoiseWindows(t *testing.T) {
 	med := channel.NewMedium(eng, radio.NewLogNormal2400(2.9, 0), -96)
 	spec, _ := Parse("fade:at=1s,dur=1s,db=10; noise:at=3s,dur=1s,db=15")
 	NewInjector(eng, spec, Targets{Medium: med}).Start()
+	// With no shadowing, a link's received power drops by exactly the
+	// injected fade.
+	a := med.AddNode(1, geom.Pt(0, 0), 0, nil)
+	b := med.AddNode(2, geom.Pt(10, 0), 0, nil)
+	clean := med.ReceivedPowerSampleDBm(a, b)
 	type sample struct{ fade, noise float64 }
 	samples := map[time.Duration]*sample{}
 	for _, at := range []time.Duration{500, 1500, 2500, 3500, 4500} {
 		at := at * time.Millisecond
 		samples[at] = &sample{}
-		eng.After(at, func() { *samples[at] = sample{med.ExtraPathLossDB(), med.NoiseFloorDBm()} })
+		eng.After(at, func() {
+			*samples[at] = sample{math.Round(clean - med.ReceivedPowerSampleDBm(a, b)), med.NoiseFloorDBm()}
+		})
 	}
 	eng.Run()
 	for at, want := range map[time.Duration]sample{

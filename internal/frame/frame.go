@@ -1,19 +1,11 @@
 // Package frame defines the over-the-air frame types exchanged by the
 // simulated 802.11 MAC and by CO-MAP: data frames, ACKs (plain and
 // selective-repeat), the CO-MAP discovery header and location beacons.
-//
-// Frames are carried through the simulator as structs; Marshal/Unmarshal
-// provide the byte-level wire form (with a CRC-32 FCS) used by the paper's
-// testbed variant, so sizes and integrity checks are real.
+// Frames are carried through the simulator as structs; only their on-air
+// sizes are modelled.
 package frame
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-	"math"
-)
+import "fmt"
 
 // NodeID identifies a station (client or AP) in the network.
 type NodeID uint16
@@ -132,68 +124,4 @@ func (f Frame) IsAck() bool { return f.Kind == Ack || f.Kind == SRAck }
 // String renders a compact human-readable form for traces.
 func (f Frame) String() string {
 	return fmt.Sprintf("%s %d->%d seq=%d len=%d", f.Kind, f.Src, f.Dst, f.Seq, f.PayloadBytes)
-}
-
-// Errors returned by Unmarshal.
-var (
-	ErrShortFrame = errors.New("frame: buffer too short")
-	ErrBadFCS     = errors.New("frame: FCS mismatch")
-	ErrBadKind    = errors.New("frame: unknown kind")
-)
-
-// marshalled header layout (before FCS):
-//
-//	kind(1) flags(1) src(2) dst(2) seq(2) payloadLen(4) bitmap(4) x(8) y(8)
-const wireHeaderLen = 1 + 1 + 2 + 2 + 2 + 4 + 4 + 8 + 8
-
-const flagRetry = 0x01
-
-// Marshal encodes the frame's wire header followed by a CRC-32 FCS. The
-// application payload itself is simulated (only its length is carried), so
-// the encoding covers metadata integrity, mirroring the testbed's separate
-// FCS-protected discovery header.
-func (f Frame) Marshal() []byte {
-	buf := make([]byte, wireHeaderLen+4)
-	buf[0] = byte(f.Kind)
-	if f.Retry {
-		buf[1] |= flagRetry
-	}
-	binary.BigEndian.PutUint16(buf[2:], uint16(f.Src))
-	binary.BigEndian.PutUint16(buf[4:], uint16(f.Dst))
-	binary.BigEndian.PutUint16(buf[6:], f.Seq)
-	binary.BigEndian.PutUint32(buf[8:], uint32(f.PayloadBytes))
-	binary.BigEndian.PutUint32(buf[12:], f.Bitmap)
-	binary.BigEndian.PutUint64(buf[16:], math.Float64bits(f.X))
-	binary.BigEndian.PutUint64(buf[24:], math.Float64bits(f.Y))
-	fcs := crc32.ChecksumIEEE(buf[:wireHeaderLen])
-	binary.BigEndian.PutUint32(buf[wireHeaderLen:], fcs)
-	return buf
-}
-
-// Unmarshal decodes a frame previously produced by Marshal, verifying the
-// FCS.
-func Unmarshal(buf []byte) (Frame, error) {
-	if len(buf) < wireHeaderLen+4 {
-		return Frame{}, ErrShortFrame
-	}
-	want := binary.BigEndian.Uint32(buf[wireHeaderLen:])
-	if crc32.ChecksumIEEE(buf[:wireHeaderLen]) != want {
-		return Frame{}, ErrBadFCS
-	}
-	k := Kind(buf[0])
-	if k < Data || k > CTS {
-		return Frame{}, ErrBadKind
-	}
-	f := Frame{
-		Kind:         k,
-		Retry:        buf[1]&flagRetry != 0,
-		Src:          NodeID(binary.BigEndian.Uint16(buf[2:])),
-		Dst:          NodeID(binary.BigEndian.Uint16(buf[4:])),
-		Seq:          binary.BigEndian.Uint16(buf[6:]),
-		PayloadBytes: int(binary.BigEndian.Uint32(buf[8:])),
-		Bitmap:       binary.BigEndian.Uint32(buf[12:]),
-		X:            math.Float64frombits(binary.BigEndian.Uint64(buf[16:])),
-		Y:            math.Float64frombits(binary.BigEndian.Uint64(buf[24:])),
-	}
-	return f, nil
 }

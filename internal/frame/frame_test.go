@@ -1,10 +1,8 @@
 package frame
 
 import (
-	"errors"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestKindString(t *testing.T) {
@@ -53,100 +51,6 @@ func TestIsAck(t *testing.T) {
 	if (Frame{Kind: Data}).IsAck() || (Frame{Kind: ComapHeader}).IsAck() {
 		t.Error("non-ACK kinds must not report IsAck")
 	}
-}
-
-func TestMarshalRoundTrip(t *testing.T) {
-	f := Frame{
-		Kind:         Data,
-		Src:          3,
-		Dst:          7,
-		Seq:          1234,
-		PayloadBytes: 900,
-		Retry:        true,
-		Bitmap:       0xDEADBEEF,
-		X:            12.5,
-		Y:            -3.25,
-	}
-	got, err := Unmarshal(f.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != f {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, f)
-	}
-}
-
-func TestMarshalRoundTripProperty(t *testing.T) {
-	f := func(kindRaw uint8, src, dst, seq uint16, payload uint16, retry bool, bitmap uint32, x, y float64) bool {
-		kind := Kind(kindRaw%5) + Data
-		in := Frame{
-			Kind: kind, Src: NodeID(src), Dst: NodeID(dst), Seq: seq,
-			PayloadBytes: int(payload), Retry: retry, Bitmap: bitmap, X: x, Y: y,
-		}
-		out, err := Unmarshal(in.Marshal())
-		if err != nil {
-			return false
-		}
-		// NaN positions don't compare equal; accept them bit-for-bit via
-		// re-marshal instead.
-		if x != x || y != y {
-			return string(out.Marshal()) == string(in.Marshal())
-		}
-		return out == in
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestUnmarshalShort(t *testing.T) {
-	if _, err := Unmarshal([]byte{1, 2, 3}); !errors.Is(err, ErrShortFrame) {
-		t.Errorf("err = %v, want ErrShortFrame", err)
-	}
-}
-
-func TestUnmarshalCorruption(t *testing.T) {
-	buf := Frame{Kind: Data, Src: 1, Dst: 2, Seq: 9}.Marshal()
-	for i := range buf {
-		corrupted := make([]byte, len(buf))
-		copy(corrupted, buf)
-		corrupted[i] ^= 0x40
-		if _, err := Unmarshal(corrupted); err == nil {
-			t.Errorf("flipping byte %d went undetected", i)
-		}
-	}
-}
-
-func TestUnmarshalBadKind(t *testing.T) {
-	f := Frame{Kind: Data}
-	buf := f.Marshal()
-	buf[0] = 99
-	// Recompute a valid FCS so only the kind is bad.
-	valid := Frame{Kind: Data}
-	_ = valid
-	// Easiest: marshal a frame and patch both kind and FCS via Marshal of a
-	// struct we can't build; instead simulate by re-checksumming.
-	patched := patchKind(buf, 99)
-	if _, err := Unmarshal(patched); !errors.Is(err, ErrBadKind) {
-		t.Errorf("err = %v, want ErrBadKind", err)
-	}
-}
-
-// patchKind rewrites the kind byte and fixes up the FCS.
-func patchKind(buf []byte, kind byte) []byte {
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	out[0] = kind
-	f := Frame{Kind: Kind(kind)}
-	_ = f
-	// Recompute FCS over the header region.
-	hdr := out[:len(out)-4]
-	fcs := crc32ChecksumIEEE(hdr)
-	out[len(out)-4] = byte(fcs >> 24)
-	out[len(out)-3] = byte(fcs >> 16)
-	out[len(out)-2] = byte(fcs >> 8)
-	out[len(out)-1] = byte(fcs)
-	return out
 }
 
 func TestFrameString(t *testing.T) {

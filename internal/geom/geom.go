@@ -48,9 +48,6 @@ func (v Vector) Length() float64 { return math.Hypot(v.DX, v.DY) }
 // Scale returns v scaled by k.
 func (v Vector) Scale(k float64) Vector { return Vector{DX: v.DX * k, DY: v.DY * k} }
 
-// Add returns the vector sum v+w.
-func (v Vector) Add(w Vector) Vector { return Vector{DX: v.DX + w.DX, DY: v.DY + w.DY} }
-
 // Unit returns the unit vector in the direction of v. The zero vector is
 // returned unchanged.
 func (v Vector) Unit() Vector {
@@ -59,11 +56,6 @@ func (v Vector) Unit() Vector {
 		return v
 	}
 	return v.Scale(1 / l)
-}
-
-// Midpoint returns the point halfway between p and q.
-func Midpoint(p, q Point) Point {
-	return Point{X: (p.X + q.X) / 2, Y: (p.Y + q.Y) / 2}
 }
 
 // Lerp linearly interpolates between p (t=0) and q (t=1). t outside [0,1]
@@ -77,36 +69,4 @@ func Lerp(p, q Point, t float64) Point {
 func OnLine(origin, target Point, d float64) Point {
 	u := target.Sub(origin).Unit()
 	return origin.Add(u.Scale(d))
-}
-
-// Centroid returns the arithmetic mean of the given points. It returns the
-// origin for an empty slice.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var c Point
-	for _, p := range pts {
-		c.X += p.X
-		c.Y += p.Y
-	}
-	c.X /= float64(len(pts))
-	c.Y /= float64(len(pts))
-	return c
-}
-
-// BoundingBox returns the axis-aligned bounding box (min, max corners) of the
-// given points. It returns zero points for an empty slice.
-func BoundingBox(pts []Point) (min, max Point) {
-	if len(pts) == 0 {
-		return Point{}, Point{}
-	}
-	min, max = pts[0], pts[0]
-	for _, p := range pts[1:] {
-		min.X = math.Min(min.X, p.X)
-		min.Y = math.Min(min.Y, p.Y)
-		max.X = math.Max(max.X, p.X)
-		max.Y = math.Max(max.Y, p.Y)
-	}
-	return min, max
 }

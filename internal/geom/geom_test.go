@@ -72,9 +72,9 @@ func TestVectorLength(t *testing.T) {
 }
 
 func TestVectorScaleAdd(t *testing.T) {
-	v := Vec(1, -2).Scale(3).Add(Vec(-1, 1))
-	if v != Vec(2, -5) {
-		t.Errorf("got %+v, want {2 -5}", v)
+	p := Pt(-1, 1).Add(Vec(1, -2).Scale(3))
+	if p != Pt(2, -5) {
+		t.Errorf("got %v, want (2,-5)", p)
 	}
 }
 
@@ -98,13 +98,6 @@ func TestUnitHasLengthOne(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMidpoint(t *testing.T) {
-	m := Midpoint(Pt(0, 0), Pt(10, 4))
-	if m != Pt(5, 2) {
-		t.Errorf("Midpoint = %v", m)
 	}
 }
 
@@ -150,27 +143,6 @@ func TestOnLineDistanceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCentroid(t *testing.T) {
-	if got := Centroid(nil); got != (Point{}) {
-		t.Errorf("empty Centroid = %v", got)
-	}
-	got := Centroid([]Point{Pt(0, 0), Pt(2, 0), Pt(1, 3)})
-	if !almostEqual(got.X, 1, 1e-12) || !almostEqual(got.Y, 1, 1e-12) {
-		t.Errorf("Centroid = %v, want (1,1)", got)
-	}
-}
-
-func TestBoundingBox(t *testing.T) {
-	min, max := BoundingBox([]Point{Pt(1, 5), Pt(-2, 3), Pt(4, -1)})
-	if min != Pt(-2, -1) || max != Pt(4, 5) {
-		t.Errorf("BoundingBox = %v %v", min, max)
-	}
-	min, max = BoundingBox(nil)
-	if min != (Point{}) || max != (Point{}) {
-		t.Errorf("empty BoundingBox = %v %v", min, max)
 	}
 }
 

@@ -138,9 +138,6 @@ func NewRegistry(rng *rand.Rand, errorRangeMeters, updateThresholdMeters float64
 	}
 }
 
-// ErrorRange returns the configured error radius in meters.
-func (r *Registry) ErrorRange() float64 { return r.errorRange }
-
 // Updates returns how many position reports have been issued — the paper's
 // communication-overhead measure. Dropped and delayed reports count: the
 // node spent the signalling either way.
@@ -177,9 +174,6 @@ func (r *Registry) SetFrozen(id frame.NodeID, frozen bool) {
 		delete(r.frozen, id)
 	}
 }
-
-// Frozen reports whether id is inside a localization outage window.
-func (r *Registry) Frozen(id frame.NodeID) bool { return r.frozen[id] }
 
 // SetBias adds a systematic offset to every subsequent report from id (a
 // bias burst on top of the disc error); the zero vector clears it.
@@ -373,12 +367,6 @@ func (r *Registry) Fix(id frame.NodeID) (Fix, bool) {
 // Changes implements Versioned: it moves on every committed fix and every
 // deregistration.
 func (r *Registry) Changes() (uint64, bool) { return r.changes, true }
-
-// TruePosition returns the ground-truth position.
-func (r *Registry) TruePosition(id frame.NodeID) (geom.Point, bool) {
-	p, ok := r.truth[id]
-	return p, ok
-}
 
 // IDs returns the registered node IDs in unspecified order.
 func (r *Registry) IDs() []frame.NodeID {

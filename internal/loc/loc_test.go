@@ -16,7 +16,7 @@ func TestPerfectRegistry(t *testing.T) {
 	if !ok || p != geom.Pt(10, 20) {
 		t.Errorf("Position = %v ok=%v", p, ok)
 	}
-	tp, ok := r.TruePosition(1)
+	tp, ok := r.truth[1]
 	if !ok || tp != geom.Pt(10, 20) {
 		t.Errorf("TruePosition = %v", tp)
 	}
@@ -70,7 +70,7 @@ func TestMovementThreshold(t *testing.T) {
 	if p != geom.Pt(0, 0) {
 		t.Errorf("reported position should be stale, got %v", p)
 	}
-	if tp, _ := r.TruePosition(1); tp != geom.Pt(3, 0) {
+	if tp := r.truth[1]; tp != geom.Pt(3, 0) {
 		t.Errorf("true position should track moves, got %v", tp)
 	}
 	// Cumulative move beyond the threshold from the LAST REPORT: reports.
@@ -151,8 +151,8 @@ func TestStaticProvider(t *testing.T) {
 
 func TestErrorRangeAccessor(t *testing.T) {
 	r := NewRegistry(rand.New(rand.NewSource(7)), 12.5, 5)
-	if r.ErrorRange() != 12.5 {
-		t.Errorf("ErrorRange = %v", r.ErrorRange())
+	if r.errorRange != 12.5 {
+		t.Errorf("ErrorRange = %v", r.errorRange)
 	}
 }
 

@@ -88,7 +88,7 @@ func TestOutageFreezesFix(t *testing.T) {
 	r := newClockedRegistry(eng, 0, 1)
 	r.Register(1, geom.Pt(0, 0))
 	r.SetFrozen(1, true)
-	if !r.Frozen(1) {
+	if !r.frozen[1] {
 		t.Fatal("Frozen not set")
 	}
 	eng.After(time.Second, func() { r.Move(1, geom.Pt(50, 0)) })
@@ -133,7 +133,7 @@ func TestDeregisterRemovesNode(t *testing.T) {
 	if _, ok := r.Position(1); ok {
 		t.Error("deregistered node still has a fix")
 	}
-	if _, ok := r.TruePosition(1); ok {
+	if _, ok := r.truth[1]; ok {
 		t.Error("deregistered node still has truth")
 	}
 	if r.Deregister(1) {

@@ -321,9 +321,6 @@ func (n *Node) Fix(id frame.NodeID) (loc.Fix, bool) {
 	return fix, ok
 }
 
-// TableSize returns the number of known positions (including self).
-func (n *Node) TableSize() int { return len(n.table) }
-
 // BeaconsSent and BytesSent expose the exchange's airtime overhead;
 // BeaconsLost counts beacons consumed by the injected in-band loss process.
 func (n *Node) BeaconsSent() int { return n.beaconsSent }

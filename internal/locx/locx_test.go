@@ -80,8 +80,8 @@ func TestExchangePopulatesTables(t *testing.T) {
 	if p, ok := c2.Position(1); !ok || p != geom.Pt(10, 0) {
 		t.Errorf("client 2 learned client 1 at %v ok=%v", p, ok)
 	}
-	if c1.TableSize() < 3 {
-		t.Errorf("client 1 table size = %d", c1.TableSize())
+	if len(c1.table) < 3 {
+		t.Errorf("client 1 table size = %d", len(c1.table))
 	}
 }
 

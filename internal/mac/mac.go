@@ -369,12 +369,6 @@ func (m *MAC) maxCW() int {
 // ID returns the station's node ID.
 func (m *MAC) ID() frame.NodeID { return m.tr.ID() }
 
-// Transceiver returns the underlying radio.
-func (m *MAC) Transceiver() *channel.Transceiver { return m.tr }
-
-// Config returns the MAC configuration (with defaults applied).
-func (m *MAC) Config() Config { return m.cfg }
-
 // SetHooks installs the upper-layer callbacks. Call before traffic starts.
 func (m *MAC) SetHooks(h Hooks) { m.hooks = h }
 
@@ -473,9 +467,6 @@ func (m *MAC) SetPersistentConcurrent(on bool) {
 	m.reevaluateAccess()
 	m.touchAir()
 }
-
-// PersistentConcurrent reports the current persistent-concurrency state.
-func (m *MAC) PersistentConcurrent() bool { return m.persistent }
 
 // setNAV reserves the medium until the end of another station's ACK
 // exchange.

@@ -25,16 +25,16 @@ func TestSetFixedCW(t *testing.T) {
 func TestPersistentConcurrentAccessors(t *testing.T) {
 	n := newTestNet(32, 0)
 	a := n.addStation(1, geom.Pt(0, 0), basicCfg())
-	if a.mac.PersistentConcurrent() {
+	if a.mac.persistent {
 		t.Error("persistent should default off")
 	}
 	a.mac.SetPersistentConcurrent(true)
-	if !a.mac.PersistentConcurrent() {
+	if !a.mac.persistent {
 		t.Error("persistent not set")
 	}
 	a.mac.SetPersistentConcurrent(true) // idempotent
 	a.mac.SetPersistentConcurrent(false)
-	if a.mac.PersistentConcurrent() {
+	if a.mac.persistent {
 		t.Error("persistent not cleared")
 	}
 }
@@ -101,7 +101,7 @@ func TestEIFSAfterCorruptedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The first transmission must start no earlier than EIFS.
-	start := a.mac.Config().PHY.EIFS()
+	start := a.mac.cfg.PHY.EIFS()
 	n.eng.RunUntil(start - time.Microsecond)
 	if a.mac.Stats().Get("tx.data") != 0 {
 		t.Error("transmitted before EIFS elapsed")
@@ -208,7 +208,7 @@ func TestLocationBeaconBroadcastPath(t *testing.T) {
 func TestTransceiverAccessor(t *testing.T) {
 	n := newTestNet(38, 0)
 	a := n.addStation(1, geom.Pt(0, 0), basicCfg())
-	if a.mac.Transceiver() == nil || a.mac.Transceiver().ID() != 1 {
-		t.Error("Transceiver accessor broken")
+	if a.mac.tr == nil || a.mac.tr.ID() != 1 {
+		t.Error("MAC not wired to its transceiver")
 	}
 }

@@ -445,7 +445,7 @@ func TestStatsNamesStable(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	n := newTestNet(16, 0)
 	s := n.addStation(1, geom.Pt(0, 0), Config{PHY: phy.DSSS(), CCAThresholdDBm: -81})
-	cfg := s.mac.Config()
+	cfg := s.mac.cfg
 	if cfg.RetryLimit != 7 || cfg.QueueCap != 128 {
 		t.Errorf("defaults: %+v", cfg)
 	}

@@ -66,8 +66,7 @@ func breakerName(s int) string {
 
 // ClientConfig tunes the control-plane client. Now and After abstract the
 // clock and timer plane: the simulator passes the engine's virtual clock so
-// deadlines, backoff and budget refill all run in sim-time; WallClock()
-// supplies real time for load tests against comap-mapd.
+// deadlines, backoff and budget refill all run in sim-time.
 type ClientConfig struct {
 	// Deadline bounds each call attempt.
 	Deadline time.Duration
@@ -109,18 +108,6 @@ func DefaultClientConfig() ClientConfig {
 		BreakerCooldown:   250 * time.Millisecond,
 		StaleFor:          3 * time.Second,
 	}
-}
-
-// WallClock returns Now/After implementations over real time, for running
-// the client against comap-mapd outside the simulator.
-func WallClock() (now func() time.Duration, after func(time.Duration, func()) func()) {
-	start := time.Now()
-	now = func() time.Duration { return time.Since(start) }
-	after = func(d time.Duration, fn func()) func() {
-		t := time.AfterFunc(d, fn)
-		return func() { t.Stop() }
-	}
-	return now, after
 }
 
 type entry struct {

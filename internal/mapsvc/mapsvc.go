@@ -205,14 +205,9 @@ func (s *Service) fixOf(id frame.NodeID) (loc.Fix, bool) {
 	return f, ok
 }
 
-// Apply ingests a batch of registry change records: WAL-append first (when
-// persistence is on), then apply to the fix table, then snapshot if the
-// cadence came due.
-func (s *Service) Apply(recs []IngestRecord) error {
-	return s.ApplyCtx(recs, CallContext{})
-}
-
-// ApplyCtx is Apply carrying the caller's causal context for tracing.
+// ApplyCtx ingests a batch of registry change records: WAL-append first
+// (when persistence is on), then apply to the fix table, then snapshot if
+// the cadence came due. ctx is the caller's causal context for tracing.
 func (s *Service) ApplyCtx(recs []IngestRecord, ctx CallContext) error {
 	if s.down.Load() {
 		return ErrUnavailable
@@ -261,17 +256,11 @@ func (s *Service) applyOne(rec IngestRecord) {
 	sh.mu.Unlock()
 }
 
-// VerdictFor answers one verdict request: cache hit, or health gate +
+// VerdictForCtx answers one verdict request: cache hit, or health gate +
 // Judge computation + cache insert. Unhealthy answers are never cached —
 // transient ill-health must not poison the verdict cache, mirroring the
-// in-process agent.
-func (s *Service) VerdictFor(k Key) (Verdict, error) {
-	return s.VerdictForCtx(k, CallContext{})
-}
-
-// VerdictForCtx is VerdictFor carrying the caller's causal context: it
-// reports the request's fate ("hit", "miss", "unhealthy") on the
-// server-side event stream.
+// in-process agent. The request's fate ("hit", "miss", "unhealthy") is
+// reported on the server-side event stream under the caller's context.
 func (s *Service) VerdictForCtx(k Key, ctx CallContext) (Verdict, error) {
 	if s.down.Load() {
 		return Verdict{}, ErrUnavailable
@@ -306,13 +295,9 @@ func (s *Service) VerdictForCtx(k Key, ctx CallContext) (Verdict, error) {
 	return Verdict{Allowed: allowed, Wide: wide}, nil
 }
 
-// InvalidateNode drops every cached verdict involving id as a link endpoint
-// or destination — the service-side mirror of Agent.OnStationChanged.
-func (s *Service) InvalidateNode(id frame.NodeID) {
-	s.InvalidateNodeCtx(id, CallContext{})
-}
-
-// InvalidateNodeCtx is InvalidateNode carrying the caller's causal context.
+// InvalidateNodeCtx drops every cached verdict involving id as a link
+// endpoint or destination — the service-side mirror of
+// Agent.OnStationChanged. ctx is the caller's causal context for tracing.
 func (s *Service) InvalidateNodeCtx(id frame.NodeID, ctx CallContext) {
 	if s.down.Load() {
 		return
@@ -339,12 +324,8 @@ func (s *Service) InvalidateNodeCtx(id frame.NodeID, ctx CallContext) {
 	}
 }
 
-// InvalidateAll empties the verdict cache.
-func (s *Service) InvalidateAll() {
-	s.InvalidateAllCtx(CallContext{})
-}
-
-// InvalidateAllCtx is InvalidateAll carrying the caller's causal context.
+// InvalidateAllCtx empties the verdict cache. ctx is the caller's causal
+// context for tracing.
 func (s *Service) InvalidateAllCtx(ctx CallContext) {
 	if s.down.Load() {
 		return

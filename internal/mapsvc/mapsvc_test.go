@@ -262,6 +262,129 @@ func TestDirStoreToleratesTornWALTail(t *testing.T) {
 	}
 }
 
+// TestDirStoreAppendAfterTornTail: records appended after a torn tail was
+// dropped at load must read back whole, not shifted by the tail's bytes.
+func TestDirStoreAppendAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	d, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := sampleRecords()
+	if err := d.AppendWAL(recs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "wal.dat")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b[:len(b)-recordSize/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d2.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.AppendWAL(recs[2:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d3, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d3.Close()
+	_, wal, err := d3.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wal) != 2 || wal[0] != recs[0] || wal[1] != recs[2] {
+		t.Errorf("wal = %+v, want %+v then %+v", wal, recs[0], recs[2])
+	}
+}
+
+// FuzzRecover restarts a service over fuzzed snapshot and WAL files. It
+// must never panic; every fix it recovers must be finite; and a record
+// appended after the recovery must read back, after a reopen, on top of
+// exactly the recovered set.
+func FuzzRecover(f *testing.F) {
+	enc := EncodeRecords(sampleRecords())
+	f.Add(enc[:2*recordSize], enc)
+	f.Add([]byte{}, enc[:recordSize+recordSize/2])
+	f.Add(enc[:recordSize/2], enc[recordSize:])
+	f.Add(enc, []byte{9, 9, 9})
+	f.Fuzz(func(t *testing.T, snapshot, wal []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "snapshot.dat"), snapshot, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "wal.dat"), wal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recovered := func() map[frame.NodeID]loc.Fix {
+			store, err := NewDirStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			svc := NewService(ServiceConfig{Store: store})
+			if err := svc.Recover(); err != nil {
+				return nil
+			}
+			fixes := make(map[frame.NodeID]loc.Fix)
+			for _, r := range svc.fixRecords() {
+				if err := checkFix(r.Fix); err != nil {
+					t.Fatalf("recovered node %d with a bad fix: %v", r.Node, err)
+				}
+				fixes[r.Node] = r.Fix
+			}
+			return fixes
+		}
+		want := recovered()
+		if want == nil {
+			return // rejected as corrupt, not misread
+		}
+
+		rec := IngestRecord{Op: RecReport, Node: 4242, Fix: loc.Fix{Pos: geom.Pt(1, 2), ReportedAt: time.Second, ErrorRadiusMeters: 1}}
+		store, err := NewDirStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = store.AppendWAL([]IngestRecord{rec})
+		if cerr := store.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[rec.Node] = rec.Fix
+
+		got := recovered()
+		if got == nil {
+			t.Fatal("store no longer recovers after one valid append")
+		}
+		if len(got) != len(want) {
+			t.Fatalf("recovered %d fixes after the append, want %d", len(got), len(want))
+		}
+		for id, fix := range want {
+			if got[id] != fix {
+				t.Fatalf("node %d: recovered %+v, want %+v", id, got[id], fix)
+			}
+		}
+	})
+}
+
 // ---------------------------------------------------------------------------
 // Service
 
@@ -310,25 +433,25 @@ var (
 
 func TestServiceVerdictComputeCacheInvalidate(t *testing.T) {
 	svc := NewService(ServiceConfig{Judge: testJudge(comap.HealthPolicy{}, nil)})
-	if err := svc.Apply(testTopologyRecords(0)); err != nil {
+	if err := svc.ApplyCtx(testTopologyRecords(0), CallContext{}); err != nil {
 		t.Fatal(err)
 	}
 
-	v, err := svc.VerdictFor(farKey)
+	v, err := svc.VerdictForCtx(farKey, CallContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.Allowed || !v.Wide || v.Cached {
 		t.Fatalf("far ET verdict = %+v, want allowed+wide uncached", v)
 	}
-	v2, err := svc.VerdictFor(farKey)
+	v2, err := svc.VerdictForCtx(farKey, CallContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v2.Cached || v2.Allowed != v.Allowed || v2.Wide != v.Wide {
 		t.Fatalf("second verdict = %+v, want cached copy of %+v", v2, v)
 	}
-	vn, err := svc.VerdictFor(nearKey)
+	vn, err := svc.VerdictForCtx(nearKey, CallContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,11 +467,11 @@ func TestServiceVerdictComputeCacheInvalidate(t *testing.T) {
 
 	// Invalidating a link endpoint drops every verdict involving it; the
 	// next ask recomputes.
-	svc.InvalidateNode(2)
+	svc.InvalidateNodeCtx(2, CallContext{})
 	if st := svc.Status(); st.CacheEntries != 0 {
 		t.Fatalf("cache entries after InvalidateNode(2) = %d, want 0", st.CacheEntries)
 	}
-	v3, err := svc.VerdictFor(farKey)
+	v3, err := svc.VerdictForCtx(farKey, CallContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,10 +490,10 @@ func TestServiceUnhealthyVerdictsNeverCached(t *testing.T) {
 	})
 	recs := testTopologyRecords(0)
 	// Leave node 4 (myDst) out: the health gate must refuse the verdict.
-	if err := svc.Apply(recs[:3]); err != nil {
+	if err := svc.ApplyCtx(recs[:3], CallContext{}); err != nil {
 		t.Fatal(err)
 	}
-	v, err := svc.VerdictFor(farKey)
+	v, err := svc.VerdictForCtx(farKey, CallContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,10 +505,10 @@ func TestServiceUnhealthyVerdictsNeverCached(t *testing.T) {
 	}
 
 	// The fix arriving heals the key with no invalidation needed.
-	if err := svc.Apply(recs[3:4]); err != nil {
+	if err := svc.ApplyCtx(recs[3:4], CallContext{}); err != nil {
 		t.Fatal(err)
 	}
-	v, err = svc.VerdictFor(farKey)
+	v, err = svc.VerdictForCtx(farKey, CallContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +520,7 @@ func TestServiceUnhealthyVerdictsNeverCached(t *testing.T) {
 	// again — but the cached verdict for farKey still serves (staleness
 	// gating of cached entries is the client ladder's job, not the cache's).
 	now = comap.DefaultHealthPolicy().MaxFixAge + time.Second
-	v, err = svc.VerdictFor(nearKey)
+	v, err = svc.VerdictForCtx(nearKey, CallContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,13 +539,13 @@ func TestServiceCrashRecoverReplaysWAL(t *testing.T) {
 	recs := testTopologyRecords(0)
 	// First batch of 4 hits the snapshot cadence; the second lands in the
 	// WAL only.
-	if err := svc.Apply(recs[:4]); err != nil {
+	if err := svc.ApplyCtx(recs[:4], CallContext{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Apply(recs[4:]); err != nil {
+	if err := svc.ApplyCtx(recs[4:], CallContext{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.VerdictFor(farKey); err != nil {
+	if _, err := svc.VerdictForCtx(farKey, CallContext{}); err != nil {
 		t.Fatal(err)
 	}
 	st := svc.Status()
@@ -434,11 +557,11 @@ func TestServiceCrashRecoverReplaysWAL(t *testing.T) {
 	if !svc.Down() {
 		t.Fatal("service not down after Crash")
 	}
-	if err := svc.Apply(recs[:1]); err != ErrUnavailable {
+	if err := svc.ApplyCtx(recs[:1], CallContext{}); err != ErrUnavailable {
 		t.Fatalf("Apply on crashed service = %v, want ErrUnavailable", err)
 	}
-	if _, err := svc.VerdictFor(farKey); err != ErrUnavailable {
-		t.Fatalf("VerdictFor on crashed service = %v, want ErrUnavailable", err)
+	if _, err := svc.VerdictForCtx(farKey, CallContext{}); err != ErrUnavailable {
+		t.Fatalf("VerdictForCtx on crashed service = %v, want ErrUnavailable", err)
 	}
 	if st := svc.Status(); st.Fixes != 0 || st.CacheEntries != 0 {
 		t.Fatalf("volatile state survived the crash: %+v", st)
@@ -456,7 +579,7 @@ func TestServiceCrashRecoverReplaysWAL(t *testing.T) {
 			st.Fixes, st.WALReplayed)
 	}
 	// The rebuilt table answers identically.
-	v, err := svc.VerdictFor(farKey)
+	v, err := svc.VerdictForCtx(farKey, CallContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +588,7 @@ func TestServiceCrashRecoverReplaysWAL(t *testing.T) {
 	}
 
 	// A deregistration round-trips through the persistence plane too.
-	if err := svc.Apply([]IngestRecord{{Op: RecDeregister, Node: 5}}); err != nil {
+	if err := svc.ApplyCtx([]IngestRecord{{Op: RecDeregister, Node: 5}}, CallContext{}); err != nil {
 		t.Fatal(err)
 	}
 	svc.Crash()

@@ -52,7 +52,7 @@ func (m *MemStore) Load() (snapshot, wal []IngestRecord, err error) {
 // DirStore persists the snapshot and WAL as binary files in a directory
 // ("snapshot.dat", "wal.dat"). Snapshots are written to a temp file and
 // renamed into place, so a crash mid-snapshot leaves the previous snapshot
-// intact; a torn WAL tail is dropped at load time.
+// intact; a torn WAL tail is dropped and truncated at load time.
 type DirStore struct {
 	dir string
 	wal *os.File
@@ -69,9 +69,6 @@ func NewDirStore(dir string) (*DirStore, error) {
 	}
 	return &DirStore{dir: dir, wal: wal}, nil
 }
-
-// Dir returns the backing directory.
-func (d *DirStore) Dir() string { return d.dir }
 
 // Close closes the WAL file.
 func (d *DirStore) Close() error { return d.wal.Close() }
@@ -108,7 +105,8 @@ func (d *DirStore) WriteSnapshot(recs []IngestRecord) error {
 	return nil
 }
 
-// Load reads the snapshot and WAL files; missing files read as empty.
+// Load reads the snapshot and WAL files; missing files read as empty. A
+// torn WAL tail is dropped from the result and truncated from the file.
 func (d *DirStore) Load() (snapshot, wal []IngestRecord, err error) {
 	snapBytes, err := os.ReadFile(filepath.Join(d.dir, "snapshot.dat"))
 	if err != nil && !os.IsNotExist(err) {
@@ -123,6 +121,17 @@ func (d *DirStore) Load() (snapshot, wal []IngestRecord, err error) {
 	}
 	if wal, err = DecodeRecords(walBytes); err != nil {
 		return nil, nil, err
+	}
+	// Cut the dropped torn tail off the file as well: the WAL is opened for
+	// appending, so bytes left past the last whole record would shift every
+	// record appended after them.
+	if whole := len(wal) * recordSize; whole < len(walBytes) {
+		if err := d.wal.Truncate(int64(whole)); err != nil {
+			return nil, nil, fmt.Errorf("mapsvc: truncate torn wal tail: %w", err)
+		}
+		if err := d.wal.Sync(); err != nil {
+			return nil, nil, fmt.Errorf("mapsvc: sync wal: %w", err)
+		}
 	}
 	return snapshot, wal, nil
 }

@@ -37,13 +37,6 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add increments by n.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
 // Value returns the current count (0 on a nil counter).
 func (c *Counter) Value() int64 {
 	if c == nil {
@@ -64,15 +57,6 @@ func (g *Gauge) Set(v float64) {
 	if g != nil {
 		g.mu.Lock()
 		g.v, g.set = v, true
-		g.mu.Unlock()
-	}
-}
-
-// Add shifts the gauge by d.
-func (g *Gauge) Add(d float64) {
-	if g != nil {
-		g.mu.Lock()
-		g.v, g.set = g.v+d, true
 		g.mu.Unlock()
 	}
 }
@@ -102,36 +86,6 @@ func (d *Dist) Observe(x float64) {
 		d.o.Add(x)
 		d.mu.Unlock()
 	}
-}
-
-// N returns the number of observations.
-func (d *Dist) N() int {
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.o.N()
-}
-
-// Mean returns the sample mean.
-func (d *Dist) Mean() float64 {
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.o.Mean()
-}
-
-// Max returns the largest observation.
-func (d *Dist) Max() float64 {
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.o.Max()
 }
 
 func (d *Dist) snapshot() DistSnapshot {
@@ -176,68 +130,6 @@ func (t *Timing) Observe(d time.Duration) {
 	t.hist.Add(s)
 	t.samples = append(t.samples, s)
 	t.mu.Unlock()
-}
-
-// N returns the number of observations.
-func (t *Timing) N() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.o.N()
-}
-
-// Mean returns the mean duration.
-func (t *Timing) Mean() time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return secondsToDuration(t.o.Mean())
-}
-
-// Max returns the largest observed duration.
-func (t *Timing) Max() time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return secondsToDuration(t.o.Max())
-}
-
-// Quantile returns the q-th percentile (nearest rank) over all samples, or 0
-// with no samples.
-func (t *Timing) Quantile(q float64) time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.samples) == 0 {
-		return 0
-	}
-	v, err := stats.NewECDF(t.samples).Quantile(q)
-	if err != nil {
-		return 0
-	}
-	return secondsToDuration(v)
-}
-
-// Histogram exposes the fixed-bucket histogram (nil on a nil Timing). The
-// returned histogram is the live one; only the simulation goroutine should
-// touch it (snapshots copy under the lock instead).
-func (t *Timing) Histogram() *stats.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.hist
-}
-
-func secondsToDuration(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second))
 }
 
 // StateClock partitions elapsed virtual time into named states: every Set
@@ -291,34 +183,6 @@ func (s *StateClock) Set(state string) {
 	}
 	s.acc[i] += t - s.since
 	s.state, s.since = state, t
-}
-
-// State returns the current state ("" on a nil clock).
-func (s *StateClock) State() string {
-	if s == nil {
-		return ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
-
-// In returns the total time charged to state, including the open interval if
-// state is current.
-func (s *StateClock) In(state string) time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var d time.Duration
-	if i := s.slot(state); i >= 0 {
-		d = s.acc[i]
-	}
-	if state == s.state {
-		d += s.now() - s.since
-	}
-	return d
 }
 
 // Breakdown returns a copy of the per-state totals with the open interval

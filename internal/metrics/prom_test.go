@@ -29,7 +29,9 @@ func TestSanitizeMetricName(t *testing.T) {
 // family, sorted stable output, escaped label values.
 func TestPromExpositionEscapesAndOrders(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("tx.data").Add(5)
+	for i := 0; i < 5; i++ {
+		reg.Counter("tx.data").Inc()
+	}
 	reg.Counter("faults/injected.locloss").Inc()
 	reg.Gauge("queue.len").Set(3)
 	reg.Timing("mac.access_latency").Observe(4 * time.Millisecond)

@@ -16,13 +16,6 @@ type Series struct {
 	values []float64
 }
 
-// Len returns the number of samples taken so far.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.at)
-}
-
 // append records one observation.
 func (s *Series) append(t time.Duration, v float64) {
 	s.mu.Lock()

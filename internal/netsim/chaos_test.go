@@ -145,8 +145,8 @@ func TestChurnLeaveAndRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	var duringWindow, afterWindow bool
-	n.Eng.After(1500*time.Millisecond, func() { duringWindow = n.Departed(topology.C2) })
-	n.Eng.After(2500*time.Millisecond, func() { afterWindow = n.Departed(topology.C2) })
+	n.Eng.After(1500*time.Millisecond, func() { duringWindow = n.departed[topology.C2] })
+	n.Eng.After(2500*time.Millisecond, func() { afterWindow = n.departed[topology.C2] })
 
 	var bytesAtRejoin int64
 	n.Eng.After(2*time.Second+time.Millisecond, func() {

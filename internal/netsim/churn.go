@@ -111,6 +111,3 @@ func (n *Network) StationRejoin(id frame.NodeID) {
 		}
 	}
 }
-
-// Departed reports whether the station is currently off the network.
-func (n *Network) Departed(id frame.NodeID) bool { return n.departed[id] }

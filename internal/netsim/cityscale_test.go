@@ -81,8 +81,8 @@ func runCity(t *testing.T, top topology.Topology, tr *topology.LocTrace, opts ne
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	if n.Medium.Grid() == nil {
-		t.Fatal("city network built without a shard grid")
+	if top.World == nil {
+		t.Fatal("city topology has no shard grid")
 	}
 	if err := n.ScheduleLocTrace(tr); err != nil {
 		t.Fatalf("schedule trace: %v", err)

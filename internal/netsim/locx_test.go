@@ -74,9 +74,10 @@ func TestInBandLocationTablesPopulate(t *testing.T) {
 		if st.Locx == nil {
 			t.Fatalf("station %d missing locx node", id)
 		}
-		if st.Locx.TableSize() < len(top.Nodes) {
-			t.Errorf("station %d learned only %d/%d positions",
-				id, st.Locx.TableSize(), len(top.Nodes))
+		for _, peer := range top.Nodes {
+			if _, ok := st.Locx.Position(peer.ID); !ok {
+				t.Errorf("station %d never learned station %d's position", id, peer.ID)
+			}
 		}
 	}
 }

@@ -64,47 +64,3 @@ func (n *Network) invalidateAgents() {
 		}
 	}
 }
-
-// Rect is an axis-aligned area for the random-waypoint model.
-type Rect struct {
-	Min, Max geom.Point
-}
-
-// contains reports whether p lies inside the rectangle.
-func (r Rect) contains(p geom.Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// ScheduleRandomWaypoint runs the classic random-waypoint mobility model for
-// a node: pick a uniform destination in bounds, walk there at a uniform
-// speed in [minSpeed, maxSpeed] m/s, pause, repeat until the simulation
-// ends. Waypoints come from the engine's "mobility.<id>" random stream, so
-// runs stay reproducible.
-func (n *Network) ScheduleRandomWaypoint(id frame.NodeID, bounds Rect, minSpeed, maxSpeed float64, pause time.Duration) error {
-	if _, ok := n.Stations[id]; !ok {
-		return fmt.Errorf("netsim: unknown node %d", id)
-	}
-	if minSpeed <= 0 || maxSpeed < minSpeed {
-		return fmt.Errorf("netsim: bad speed range [%v, %v]", minSpeed, maxSpeed)
-	}
-	if bounds.Max.X <= bounds.Min.X || bounds.Max.Y <= bounds.Min.Y {
-		return fmt.Errorf("netsim: degenerate bounds")
-	}
-	rng := n.Eng.RNG(fmt.Sprintf("mobility.%d", id))
-	var leg func()
-	leg = func() {
-		cur := n.Medium.Node(id).Position()
-		dest := geom.Pt(
-			bounds.Min.X+rng.Float64()*(bounds.Max.X-bounds.Min.X),
-			bounds.Min.Y+rng.Float64()*(bounds.Max.Y-bounds.Min.Y),
-		)
-		speed := minSpeed + rng.Float64()*(maxSpeed-minSpeed)
-		travel := time.Duration(cur.DistanceTo(dest) / speed * float64(time.Second))
-		if err := n.ScheduleWalk(id, dest, speed, n.Eng.Now()); err != nil {
-			return
-		}
-		n.Eng.After(travel+pause, leg)
-	}
-	n.Eng.After(0, leg)
-	return nil
-}

@@ -47,9 +47,6 @@ func TestWalkMovesNodeAndReports(t *testing.T) {
 	if got := n.Medium.Node(topology.C2).Position(); got.DistanceTo(geom.Pt(32, 0)) > 0.01 {
 		t.Errorf("final position = %v", got)
 	}
-	if tp, _ := n.Locs.TruePosition(topology.C2); tp != n.Medium.Node(topology.C2).Position() {
-		t.Error("registry truth out of sync with medium")
-	}
 	// 20 m of walking at a 1 m report threshold: many reports, but far fewer
 	// than the 100 ms ticks (the threshold coalesces).
 	reports := n.Locs.Updates() - reportsBefore
@@ -93,63 +90,5 @@ func TestMobileExposedTerminal(t *testing.T) {
 	if final-concAt["early"] < concAt["early"] {
 		t.Errorf("concurrency did not grow late in the walk: early=%d final=%d",
 			concAt["early"], final)
-	}
-}
-
-func TestRandomWaypointValidation(t *testing.T) {
-	top := topology.ETSweep(20)
-	opts := TestbedOptions()
-	opts.Seed = 1
-	opts.Duration = time.Second
-	n, err := Build(top, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounds := Rect{Min: geom.Pt(0, 0), Max: geom.Pt(40, 40)}
-	if err := n.ScheduleRandomWaypoint(99, bounds, 1, 2, 0); err == nil {
-		t.Error("unknown node accepted")
-	}
-	if err := n.ScheduleRandomWaypoint(topology.C2, bounds, 0, 2, 0); err == nil {
-		t.Error("zero min speed accepted")
-	}
-	if err := n.ScheduleRandomWaypoint(topology.C2, bounds, 3, 2, 0); err == nil {
-		t.Error("inverted speed range accepted")
-	}
-	if err := n.ScheduleRandomWaypoint(topology.C2, Rect{}, 1, 2, 0); err == nil {
-		t.Error("degenerate bounds accepted")
-	}
-}
-
-func TestRandomWaypointStaysInBounds(t *testing.T) {
-	top := topology.ETSweep(20)
-	opts := TestbedOptions()
-	opts.Protocol = ProtocolComap
-	opts.Seed = 4
-	opts.Duration = 20 * time.Second
-	n, err := Build(top, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounds := Rect{Min: geom.Pt(10, -20), Max: geom.Pt(36, 20)}
-	if err := n.ScheduleRandomWaypoint(topology.C2, bounds, 2, 5, 200*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	// Sample the position periodically; it must stay inside the bounds
-	// (with a small tolerance for the 100 ms step discretisation).
-	grow := Rect{Min: geom.Pt(bounds.Min.X-1, bounds.Min.Y-1), Max: geom.Pt(bounds.Max.X+1, bounds.Max.Y+1)}
-	for at := time.Second; at < 20*time.Second; at += time.Second {
-		n.Eng.Schedule(at, func() {
-			if p := n.Medium.Node(topology.C2).Position(); !grow.contains(p) {
-				t.Errorf("node escaped bounds: %v", p)
-			}
-		})
-	}
-	res := n.Run()
-	if res.Total() == 0 {
-		t.Error("no goodput while roaming")
-	}
-	// Movement must have produced a healthy number of position reports.
-	if n.Locs.Updates() < 20 {
-		t.Errorf("only %d location updates while roaming", n.Locs.Updates())
 	}
 }

@@ -186,7 +186,7 @@ func TestHiddenTerminalAdaptationShrinksPayload(t *testing.T) {
 	if h != 3 {
 		t.Fatalf("agent sees %d hidden terminals, want 3", h)
 	}
-	setting := c1.Agent.Adaptation(opts.AdaptTable, topology.AP1, []frameID{2, 3, 4})
+	setting := opts.AdaptTable.Lookup(c1.Agent.CountEnvironment(topology.AP1, []frameID{2, 3, 4}))
 	noHT := opts.AdaptTable.Lookup(0, 0)
 	if setting.PayloadBytes >= noHT.PayloadBytes {
 		t.Errorf("payload with 3 HTs (%d) should be below no-HT payload (%d)",

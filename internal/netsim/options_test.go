@@ -77,27 +77,31 @@ func TestRTSOptionEndToEnd(t *testing.T) {
 }
 
 // TestDisablePersistentConcurrency: the ablation knob suppresses the CS
-// bypass but leaves chained concurrency working.
+// bypass, so the run departs from the default one, but leaves chained
+// concurrency working.
 func TestDisablePersistentConcurrency(t *testing.T) {
-	top := topology.ETSweep(30)
-	opts := TestbedOptions()
-	opts.Protocol = ProtocolComap
-	opts.DisablePersistentConcurrency = true
-	opts.Seed = 9
-	opts.Duration = 2 * time.Second
-	n, err := Build(top, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Run()
-	var conc int64
-	for _, st := range n.Stations {
-		if st.MAC.PersistentConcurrent() {
-			t.Errorf("station %d entered persistent mode despite the ablation", st.Node.ID)
+	run := func(disable bool) (conc, data int64) {
+		opts := TestbedOptions()
+		opts.Protocol = ProtocolComap
+		opts.DisablePersistentConcurrency = disable
+		opts.Seed = 9
+		opts.Duration = 2 * time.Second
+		n, err := Build(topology.ETSweep(30), opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		conc += st.MAC.Stats().Get("et.concurrent_tx")
+		n.Run()
+		for _, st := range n.Stations {
+			conc += st.MAC.Stats().Get("et.concurrent_tx")
+			data += st.MAC.Stats().Get("tx.data")
+		}
+		return conc, data
 	}
+	conc, data := run(true)
 	if conc == 0 {
 		t.Error("chained concurrency should still work")
+	}
+	if defConc, defData := run(false); conc == defConc && data == defData {
+		t.Errorf("ablation changed nothing: %d concurrent / %d data frames either way", conc, data)
 	}
 }

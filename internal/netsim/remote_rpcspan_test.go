@@ -78,7 +78,11 @@ func TestRPCChaosStitchingComplete(t *testing.T) {
 	if bad == 0 {
 		t.Error("chaos run recorded zero bad requests in the SLO tracker")
 	}
-	if rep.ControlPlaneSLO.Met() {
+	overspent := false
+	for _, ep := range rep.ControlPlaneSLO.Endpoints {
+		overspent = overspent || ep.BudgetRemaining < 0
+	}
+	if !overspent {
 		t.Error("SLO met under sustained RPC chaos — tracker not seeing the failures")
 	}
 
@@ -200,8 +204,10 @@ func TestRemoteZeroFaultRPCTrace(t *testing.T) {
 		t.Fatal("remote network has no SLO tracker")
 	}
 	st := n.SLO.Status()
-	if !st.Met() {
-		t.Errorf("zero-fault run out of SLO: %+v", st.Endpoints)
+	for _, ep := range st.Endpoints {
+		if ep.BudgetRemaining < 0 {
+			t.Errorf("zero-fault run out of SLO: %+v", st.Endpoints)
+		}
 	}
 
 	stitched := rpcspan.FromEvents(buf.Events)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/frame"
 )
 
 // Summary aggregates network-wide protocol counters after a run.
@@ -102,15 +100,4 @@ func (r *Results) PrintFlows(w io.Writer) {
 		fmt.Fprintf(w, "%5d -> %-5d %9.3f Mbps\n", f.Flow.Src, f.Flow.Dst, f.GoodputBps/1e6)
 	}
 	fmt.Fprintf(w, "total %.3f Mbps, mean per flow %.3f Mbps\n", r.Total()/1e6, r.MeanPerFlow()/1e6)
-}
-
-// FlowsFrom returns the results of flows originating at src.
-func (r *Results) FlowsFrom(src frame.NodeID) []FlowResult {
-	var out []FlowResult
-	for _, f := range r.Flows {
-		if f.Flow.Src == src {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -26,7 +26,9 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the admin-plane en
 // values that never change after construction.
 func fixedRegistry(scale int64) *metrics.Registry {
 	reg := metrics.NewRegistry()
-	reg.Counter("mac.tx.data").Add(3 * scale)
+	for i := int64(0); i < 3*scale; i++ {
+		reg.Counter("mac.tx.data").Inc()
+	}
 	reg.Counter("comap/fallback.dcf").Inc()
 	reg.Gauge("queue.depth").Set(0.25 * float64(scale))
 	reg.Dist("occupancy").Observe(1)

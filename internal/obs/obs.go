@@ -234,19 +234,6 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Addr returns the bound address ("" before Start or on a nil server).
-func (s *Server) Addr() string {
-	if s == nil {
-		return ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
 // Close stops the listener. Safe on a nil or never-started server.
 func (s *Server) Close() error {
 	if s == nil {

@@ -30,9 +30,6 @@ func TestNilServerIsNoOp(t *testing.T) {
 	if addr != "" || err != nil {
 		t.Fatalf("nil server Start = (%q, %v), want no-op", addr, err)
 	}
-	if got := s.Addr(); got != "" {
-		t.Fatalf("nil server Addr = %q", got)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("nil server Close: %v", err)
 	}
@@ -230,7 +227,8 @@ func TestProfileCapture(t *testing.T) {
 // scrapes of an idle registry are byte-identical, in both formats.
 func TestMetricsDeterministicAcrossScrapes(t *testing.T) {
 	reg := metrics.NewRegistry()
-	reg.Counter("b.count").Add(2)
+	reg.Counter("b.count").Inc()
+	reg.Counter("b.count").Inc()
 	reg.Counter("a/count").Inc()
 	reg.Gauge("load").Set(0.5)
 	reg.Timing("lat").Observe(3 * time.Millisecond)

@@ -180,16 +180,6 @@ func DSSS() Params {
 	}
 }
 
-// DSSSLongPreamble returns the 802.11b parameter set with the long (192 µs)
-// preamble and 1 Mbps basic rate — the most conservative configuration.
-func DSSSLongPreamble() Params {
-	p := DSSS()
-	p.Name = "DSSS long preamble"
-	p.PreambleHeader = 192 * time.Microsecond
-	p.BasicRate = RateDSSS1
-	return p
-}
-
 // ERPOFDM returns the 802.11g-only ERP-OFDM parameter set (short slot).
 func ERPOFDM() Params {
 	return Params{
@@ -207,19 +197,6 @@ func ERPOFDM() Params {
 		},
 		NoiseFloorDBm: -95,
 	}
-}
-
-// Mixed returns the 802.11b/g mixed-mode parameter set used to model the
-// paper's testbed: DSSS timing for coexistence, the full b+g rate set.
-func Mixed() Params {
-	p := DSSS()
-	p.Name = "Mixed b/g"
-	p.Rates = []Rate{
-		RateDSSS1, RateDSSS2, RateDSSS5, RateDSSS11,
-		RateOFDM6, RateOFDM9, RateOFDM12, RateOFDM18,
-		RateOFDM24, RateOFDM36, RateOFDM48, RateOFDM54,
-	}
-	return p
 }
 
 // NS2Table1 returns the parameter set of the paper's Table I: fixed 6 Mbps

@@ -82,7 +82,8 @@ func TestAirtimeMonotoneInBytes(t *testing.T) {
 }
 
 func TestFasterRateShorterAirtime(t *testing.T) {
-	p := Mixed()
+	p := DSSS()
+	p.Rates = append(p.Rates, ERPOFDM().Rates...)
 	const bytes = 1500
 	for _, a := range p.Rates {
 		for _, b := range p.Rates {
@@ -107,7 +108,7 @@ func TestACKAirtimeAndTimeout(t *testing.T) {
 }
 
 func TestEIFSExceedsDIFS(t *testing.T) {
-	for _, p := range []Params{DSSS(), ERPOFDM(), Mixed(), NS2Table1()} {
+	for _, p := range []Params{DSSS(), ERPOFDM(), NS2Table1()} {
 		if p.EIFS() <= p.DIFS() {
 			t.Errorf("%s: EIFS %v should exceed DIFS %v", p.Name, p.EIFS(), p.DIFS())
 		}
@@ -115,8 +116,8 @@ func TestEIFSExceedsDIFS(t *testing.T) {
 }
 
 func TestLowestRate(t *testing.T) {
-	if got := Mixed().LowestRate(); got != RateDSSS1 {
-		t.Errorf("Mixed lowest = %v", got)
+	if got := DSSS().LowestRate(); got != RateDSSS1 {
+		t.Errorf("DSSS lowest = %v", got)
 	}
 	if got := NS2Table1().LowestRate(); got != RateOFDM6 {
 		t.Errorf("NS2 lowest = %v", got)
@@ -180,24 +181,6 @@ func TestNS2Table1SingleRate(t *testing.T) {
 	}
 	if p.NoiseFloorDBm != -95 {
 		t.Errorf("noise floor = %v", p.NoiseFloorDBm)
-	}
-}
-
-func TestDSSSLongPreamble(t *testing.T) {
-	p := DSSSLongPreamble()
-	if p.PreambleHeader != 192*time.Microsecond {
-		t.Errorf("preamble = %v", p.PreambleHeader)
-	}
-	if p.BasicRate != RateDSSS1 {
-		t.Errorf("basic rate = %v", p.BasicRate)
-	}
-	// Same rate set and MAC timing as the short-preamble profile.
-	short := DSSS()
-	if p.SlotTime != short.SlotTime || p.SIFS != short.SIFS {
-		t.Error("timing drifted from the DSSS profile")
-	}
-	if p.FrameAirtime(RateDSSS11, 100) <= short.FrameAirtime(RateDSSS11, 100) {
-		t.Error("long preamble must cost more airtime")
 	}
 }
 

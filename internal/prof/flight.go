@@ -83,15 +83,6 @@ func (f *Flight) Record(at time.Duration, tag sim.Tag, owner int32) {
 	f.head.Store(h + 1)
 }
 
-// Len returns the number of records currently held (capped at capacity).
-// Safe for concurrent readers.
-func (f *Flight) Len() int {
-	if h := f.head.Load(); h < uint64(len(f.slots)) {
-		return int(h)
-	}
-	return len(f.slots)
-}
-
 // Total returns the number of records ever written. Safe for concurrent
 // readers.
 func (f *Flight) Total() uint64 { return f.head.Load() }

@@ -109,9 +109,6 @@ func (p *Profiler) OnEvent(at time.Duration, tag sim.Tag, owner int32) {
 // Flight returns the flight recorder (nil when disabled).
 func (p *Profiler) Flight() *Flight { return p.flight }
 
-// Dir returns the configured dump directory.
-func (p *Profiler) Dir() string { return p.cfg.Dir }
-
 // TagStat is one subsystem's attribution line.
 type TagStat struct {
 	// Tag is the stable subsystem name (sim.Tag.String).

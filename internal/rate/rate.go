@@ -152,9 +152,3 @@ func (m *Minstrel) Feedback(dst frame.NodeID, r phy.Rate, ok bool) {
 		}
 	}
 }
-
-// CurrentBest returns the rate Minstrel would pick for dst without probing.
-// It is exposed for tests and diagnostics.
-func (m *Minstrel) CurrentBest(dst frame.NodeID) phy.Rate {
-	return m.rates[m.bestIndex(m.state(dst))]
-}

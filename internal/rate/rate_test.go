@@ -9,6 +9,11 @@ import (
 	"repro/internal/phy"
 )
 
+// currentBest is the rate Minstrel would pick for dst without probing.
+func currentBest(m *Minstrel, dst frame.NodeID) phy.Rate {
+	return m.rates[m.bestIndex(m.state(dst))]
+}
+
 func TestFixed(t *testing.T) {
 	c := Fixed{Rate: phy.RateOFDM6}
 	if got := c.RateFor(1); got != phy.RateOFDM6 {
@@ -37,7 +42,7 @@ func TestMinstrelStartsOptimistic(t *testing.T) {
 	m := NewMinstrel(bgRates(), rand.New(rand.NewSource(1)))
 	// With all probabilities at 1, the best expected throughput is the
 	// fastest rate.
-	if got := m.CurrentBest(5); got != phy.RateOFDM54 {
+	if got := currentBest(m, 5); got != phy.RateOFDM54 {
 		t.Errorf("initial best = %v, want 54M", got)
 	}
 }
@@ -51,7 +56,7 @@ func TestMinstrelConvergesDownOnFailure(t *testing.T) {
 		ok := r.BitsPerSec <= 11e6
 		m.Feedback(dst, r, ok)
 	}
-	if got := m.CurrentBest(dst); got != phy.RateDSSS11 {
+	if got := currentBest(m, dst); got != phy.RateDSSS11 {
 		t.Errorf("converged best = %v, want 11M", got)
 	}
 }
@@ -63,7 +68,7 @@ func TestMinstrelRecoversWhenLinkImproves(t *testing.T) {
 		r := m.RateFor(dst)
 		m.Feedback(dst, r, r.BitsPerSec <= 1e6)
 	}
-	if got := m.CurrentBest(dst); got != phy.RateDSSS1 {
+	if got := currentBest(m, dst); got != phy.RateDSSS1 {
 		t.Fatalf("should be at 1M, got %v", got)
 	}
 	// Link improves: everything succeeds. Probing must rediscover 54M.
@@ -71,7 +76,7 @@ func TestMinstrelRecoversWhenLinkImproves(t *testing.T) {
 		r := m.RateFor(dst)
 		m.Feedback(dst, r, true)
 	}
-	if got := m.CurrentBest(dst); got != phy.RateOFDM54 {
+	if got := currentBest(m, dst); got != phy.RateOFDM54 {
 		t.Errorf("after recovery best = %v, want 54M", got)
 	}
 }
@@ -99,10 +104,10 @@ func TestMinstrelPerDestinationIsolation(t *testing.T) {
 		r2 := m.RateFor(2)
 		m.Feedback(2, r2, true)
 	}
-	if got := m.CurrentBest(1); got != phy.RateDSSS1 {
+	if got := currentBest(m, 1); got != phy.RateDSSS1 {
 		t.Errorf("dst1 best = %v, want 1M", got)
 	}
-	if got := m.CurrentBest(2); got != phy.RateOFDM54 {
+	if got := currentBest(m, 2); got != phy.RateOFDM54 {
 		t.Errorf("dst2 best = %v, want 54M", got)
 	}
 }
@@ -110,7 +115,7 @@ func TestMinstrelPerDestinationIsolation(t *testing.T) {
 func TestMinstrelFeedbackForUnknownRateIgnored(t *testing.T) {
 	m := NewMinstrel(bgRates(), rand.New(rand.NewSource(5)))
 	m.Feedback(1, phy.Rate{Name: "weird", BitsPerSec: 3e6}, false)
-	if got := m.CurrentBest(1); got != phy.RateOFDM54 {
+	if got := currentBest(m, 1); got != phy.RateOFDM54 {
 		t.Errorf("unknown-rate feedback changed state: %v", got)
 	}
 }
@@ -119,7 +124,7 @@ func TestMinstrelCopiesRateSlice(t *testing.T) {
 	rates := bgRates()
 	m := NewMinstrel(rates, rand.New(rand.NewSource(6)))
 	rates[3] = phy.RateDSSS1
-	if got := m.CurrentBest(1); got != phy.RateOFDM54 {
+	if got := currentBest(m, 1); got != phy.RateOFDM54 {
 		t.Errorf("controller aliased caller slice: %v", got)
 	}
 }
@@ -152,7 +157,7 @@ func TestMinstrelAirtimeAwareMetric(t *testing.T) {
 		}
 		m.Feedback(dst, r, ok)
 	}
-	best := m.CurrentBest(dst)
+	best := currentBest(m, dst)
 	if best.BitsPerSec > 24e6 {
 		t.Errorf("airtime-aware metric picked %v despite heavy losses", best)
 	}

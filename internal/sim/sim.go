@@ -65,7 +65,6 @@ type Engine struct {
 	seq     uint64
 	seed    int64
 	fired   atomic.Uint64
-	halted  bool
 	free    []*Event // recycled event slots
 	pending int      // queue length, maintained incrementally
 
@@ -95,9 +94,6 @@ func New(seed int64) *Engine {
 
 // Now returns the current virtual time. Safe for concurrent readers.
 func (e *Engine) Now() time.Duration { return time.Duration(e.now.Load()) }
-
-// Seed returns the engine seed.
-func (e *Engine) Seed() int64 { return e.seed }
 
 // EventsFired returns the number of events executed so far. Safe for
 // concurrent readers.
@@ -182,27 +178,22 @@ func (e *Engine) Step() bool {
 // before the deadline, then advances the clock to exactly the deadline.
 // Events scheduled beyond the deadline remain pending.
 func (e *Engine) RunUntil(deadline time.Duration) {
-	e.halted = false
-	for !e.halted && len(e.queue) > 0 && e.queue[0].at <= deadline {
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.Step()
 	}
-	if !e.halted && e.Now() < deadline {
+	if e.Now() < deadline {
 		e.now.Store(int64(deadline))
 	}
 	e.publishLive()
 }
 
 // Run executes every pending event (including ones scheduled by other
-// events) until the queue drains or Halt is called.
+// events) until the queue drains.
 func (e *Engine) Run() {
-	e.halted = false
-	for !e.halted && e.Step() {
+	for e.Step() {
 	}
 	e.publishLive()
 }
-
-// Halt stops Run/RunUntil after the currently executing event returns.
-func (e *Engine) Halt() { e.halted = true }
 
 // Pending returns the number of events in the queue. O(1): cancellation
 // removes events eagerly, so the queue never holds dead entries.

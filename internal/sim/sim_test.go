@@ -135,28 +135,6 @@ func TestRunUntilExactDeadlineInclusive(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
-	e := New(1)
-	count := 0
-	for i := 1; i <= 5; i++ {
-		e.Schedule(time.Duration(i)*time.Second, func() {
-			count++
-			if count == 2 {
-				e.Halt()
-			}
-		})
-	}
-	e.Run()
-	if count != 2 {
-		t.Errorf("count = %d, want 2 (halted)", count)
-	}
-	// Run can resume afterwards.
-	e.Run()
-	if count != 5 {
-		t.Errorf("after resume count = %d", count)
-	}
-}
-
 func TestClockNeverGoesBackwards(t *testing.T) {
 	f := func(delaysRaw []uint16, seed int64) bool {
 		e := New(seed)
@@ -277,7 +255,7 @@ func TestManyEventsStress(t *testing.T) {
 }
 
 func TestSeedAccessor(t *testing.T) {
-	if New(42).Seed() != 42 {
+	if New(42).seed != 42 {
 		t.Error("Seed accessor")
 	}
 }

@@ -240,16 +240,6 @@ type Status struct {
 	Endpoints []EndpointStatus `json:"endpoints"`
 }
 
-// Met reports whether every endpoint is currently inside its objective.
-func (s Status) Met() bool {
-	for _, ep := range s.Endpoints {
-		if ep.BudgetRemaining < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Status snapshots every endpoint. Safe for concurrent use; deterministic
 // given the same observation history and clock.
 func (t *Tracker) Status() Status {

@@ -74,9 +74,6 @@ func TestErrorsAndSlowSpendBudget(t *testing.T) {
 	if ep.BudgetRemaining >= 0 {
 		t.Errorf("budget remaining %.3f, want negative (2%% bad against a 1%% budget)", ep.BudgetRemaining)
 	}
-	if st.Met() {
-		t.Error("Met() true with an overspent endpoint")
-	}
 }
 
 func TestBudgetWithinObjective(t *testing.T) {
@@ -90,9 +87,6 @@ func TestBudgetWithinObjective(t *testing.T) {
 	ep := find(t, st, "verdict")
 	if ep.BudgetRemaining <= 0.8 {
 		t.Errorf("budget remaining %.3f, want ~0.9 (a tenth of the budget spent)", ep.BudgetRemaining)
-	}
-	if !st.Met() {
-		t.Error("Met() false inside the objective")
 	}
 }
 

@@ -35,11 +35,6 @@ func (g *GoodputMeter) BitsPerSecond(elapsed time.Duration) float64 {
 	return float64(g.payloadBytes) * 8 / elapsed.Seconds()
 }
 
-// Mbps returns the goodput in megabits per second.
-func (g *GoodputMeter) Mbps(elapsed time.Duration) float64 {
-	return g.BitsPerSecond(elapsed) / 1e6
-}
-
 // Counter is a named monotonically increasing event counter set, used for
 // protocol statistics (collisions, retries, deferrals, ...).
 type Counter struct {
@@ -51,9 +46,6 @@ func NewCounter() *Counter { return &Counter{counts: make(map[string]int64)} }
 
 // Inc increments the named counter by 1.
 func (c *Counter) Inc(name string) { c.counts[name]++ }
-
-// Addn increments the named counter by n.
-func (c *Counter) Addn(name string, n int64) { c.counts[name] += n }
 
 // Get returns the value of the named counter (0 if never incremented).
 func (c *Counter) Get(name string) int64 { return c.counts[name] }

@@ -60,27 +60,6 @@ func (o *Online) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
 
-// Sum returns the total of all observations.
-func (o *Online) Sum() float64 { return o.mean * float64(o.n) }
-
-// Merge folds the observations summarised by other into o.
-func (o *Online) Merge(other Online) {
-	if other.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = other
-		return
-	}
-	n := o.n + other.n
-	d := other.mean - o.mean
-	mean := o.mean + d*float64(other.n)/float64(n)
-	m2 := o.m2 + other.m2 + d*d*float64(o.n)*float64(other.n)/float64(n)
-	o.min = math.Min(o.min, other.min)
-	o.max = math.Max(o.max, other.max)
-	o.n, o.mean, o.m2 = n, mean, m2
-}
-
 // ECDF is an empirical cumulative distribution function over a sample set.
 type ECDF struct {
 	sorted []float64
@@ -96,16 +75,6 @@ func NewECDF(samples []float64) *ECDF {
 
 // N returns the number of samples.
 func (e *ECDF) N() int { return len(e.sorted) }
-
-// At returns the fraction of samples <= x, in [0, 1].
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	// First index with sorted[i] > x.
-	i := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
-	return float64(i) / float64(len(e.sorted))
-}
 
 // Quantile returns the q-th quantile (q in [0,1]) using the nearest-rank
 // method. It returns an error for an empty sample set or q outside [0,1].
@@ -196,20 +165,6 @@ func (h *Histogram) Add(x float64) {
 		}
 		h.Counts[i]++
 	}
-}
-
-// Total returns the number of samples recorded, including out-of-range ones.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over + h.NaN
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.width
 }
 
 // Mean of a float64 slice; returns 0 for an empty slice.

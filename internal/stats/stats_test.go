@@ -29,9 +29,6 @@ func TestOnlineBasics(t *testing.T) {
 	if o.Min() != 2 || o.Max() != 9 {
 		t.Errorf("Min/Max = %v/%v", o.Min(), o.Max())
 	}
-	if got := o.Sum(); math.Abs(got-40) > 1e-9 {
-		t.Errorf("Sum = %v, want 40", got)
-	}
 }
 
 func TestOnlineSingleSample(t *testing.T) {
@@ -45,79 +42,9 @@ func TestOnlineSingleSample(t *testing.T) {
 	}
 }
 
-func TestOnlineMergeMatchesSequential(t *testing.T) {
-	f := func(xs, ys []float64) bool {
-		clean := func(in []float64) []float64 {
-			out := in[:0]
-			for _, v := range in {
-				if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e6 {
-					out = append(out, v)
-				}
-			}
-			return out
-		}
-		xs, ys = clean(xs), clean(ys)
-		var a, b, all Online
-		for _, x := range xs {
-			a.Add(x)
-			all.Add(x)
-		}
-		for _, y := range ys {
-			b.Add(y)
-			all.Add(y)
-		}
-		a.Merge(b)
-		if a.N() != all.N() {
-			return false
-		}
-		if a.N() == 0 {
-			return true
-		}
-		scale := math.Max(1, math.Abs(all.Mean()))
-		return math.Abs(a.Mean()-all.Mean()) < 1e-6*scale &&
-			math.Abs(a.Variance()-all.Variance()) < 1e-4*math.Max(1, all.Variance())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestOnlineMergeEmpty(t *testing.T) {
-	var a, b Online
-	a.Add(1)
-	a.Merge(b) // merging empty is a no-op
-	if a.N() != 1 || a.Mean() != 1 {
-		t.Errorf("merge empty changed stats: %+v", a)
-	}
-	b.Merge(a) // merging into empty copies
-	if b.N() != 1 || b.Mean() != 1 {
-		t.Errorf("merge into empty: %+v", b)
-	}
-}
-
-func TestECDFAt(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	tests := []struct {
-		x    float64
-		want float64
-	}{
-		{0.5, 0},
-		{1, 0.25},
-		{1.5, 0.25},
-		{2, 0.75},
-		{3, 1},
-		{10, 1},
-	}
-	for _, tt := range tests {
-		if got := e.At(tt.x); got != tt.want {
-			t.Errorf("At(%v) = %v, want %v", tt.x, got, tt.want)
-		}
-	}
-}
-
 func TestECDFEmpty(t *testing.T) {
 	e := NewECDF(nil)
-	if e.At(1) != 0 || e.N() != 0 || e.Mean() != 0 {
+	if e.N() != 0 || e.Mean() != 0 || len(e.Points()) != 0 {
 		t.Error("empty ECDF should report zeros")
 	}
 	if _, err := e.Quantile(0.5); err == nil {
@@ -152,20 +79,23 @@ func TestECDFQuantile(t *testing.T) {
 }
 
 func TestECDFMonotoneProperty(t *testing.T) {
-	f := func(raw []float64, x1, x2 float64) bool {
+	f := func(raw []float64) bool {
 		samples := raw[:0]
 		for _, v := range raw {
 			if !math.IsNaN(v) {
 				samples = append(samples, v)
 			}
 		}
-		if math.IsNaN(x1) || math.IsNaN(x2) {
-			return true
+		pts := NewECDF(samples).Points()
+		for i, p := range pts {
+			if p.F <= 0 || p.F > 1 {
+				return false
+			}
+			if i > 0 && (p.X < pts[i-1].X || p.F <= pts[i-1].F) {
+				return false
+			}
 		}
-		e := NewECDF(samples)
-		lo, hi := math.Min(x1, x2), math.Max(x1, x2)
-		fl, fh := e.At(lo), e.At(hi)
-		return fl <= fh && fl >= 0 && fh <= 1
+		return len(pts) == 0 || pts[len(pts)-1].F == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -176,8 +106,8 @@ func TestECDFDoesNotAliasInput(t *testing.T) {
 	in := []float64{3, 1, 2}
 	e := NewECDF(in)
 	in[0] = 100
-	if e.At(3) != 1 {
-		t.Error("ECDF must copy its input")
+	if pts := e.Points(); pts[0].X != 1 || pts[2].X != 3 {
+		t.Errorf("ECDF must copy its input: %+v", pts)
 	}
 	if sort.Float64sAreSorted(in) {
 		t.Error("input slice must not be sorted in place")
@@ -209,12 +139,6 @@ func TestHistogram(t *testing.T) {
 			t.Errorf("bin %d = %d, want %d", i, c, want[i])
 		}
 	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("BinCenter(0) = %v", got)
-	}
 }
 
 func TestHistogramRejectsNaN(t *testing.T) {
@@ -235,9 +159,6 @@ func TestHistogramRejectsNaN(t *testing.T) {
 	}
 	if h.Under != 0 || h.Over != 0 {
 		t.Errorf("NaN leaked into Under/Over: %d/%d", h.Under, h.Over)
-	}
-	if h.Total() != 2 {
-		t.Errorf("Total = %d, want 2", h.Total())
 	}
 }
 
@@ -281,9 +202,6 @@ func TestGoodputMeter(t *testing.T) {
 	if got := g.BitsPerSecond(time.Second); got != 12000 {
 		t.Errorf("BitsPerSecond = %v, want 12000", got)
 	}
-	if got := g.Mbps(time.Second); math.Abs(got-0.012) > 1e-12 {
-		t.Errorf("Mbps = %v", got)
-	}
 	if g.BitsPerSecond(0) != 0 || g.BitsPerSecond(-time.Second) != 0 {
 		t.Error("non-positive elapsed must yield 0")
 	}
@@ -293,7 +211,9 @@ func TestCounter(t *testing.T) {
 	c := NewCounter()
 	c.Inc("collisions")
 	c.Inc("collisions")
-	c.Addn("retries", 5)
+	for i := 0; i < 5; i++ {
+		c.Inc("retries")
+	}
 	if c.Get("collisions") != 2 || c.Get("retries") != 5 || c.Get("missing") != 0 {
 		t.Errorf("counter values wrong: %v", c.Snapshot())
 	}

@@ -63,9 +63,6 @@ func (g *Grid) Order() int { return g.order }
 // Cells returns the number of cells, always a power of 4.
 func (g *Grid) Cells() int { return g.side * g.side }
 
-// Side returns the number of cells per axis (2^order).
-func (g *Grid) Side() int { return g.side }
-
 // CellSizeMeters returns one cell's edge length.
 func (g *Grid) CellSizeMeters() float64 { return g.cell }
 

@@ -46,7 +46,7 @@ func TestGridGeometry(t *testing.T) {
 	if got := g.Cells(); got != 16 {
 		t.Fatalf("Cells() = %d, want 16", got)
 	}
-	if got := g.Side(); got != 4 {
+	if got := g.side; got != 4 {
 		t.Fatalf("Side() = %d, want 4", got)
 	}
 	if got := g.CellSizeMeters(); got != 100 {

@@ -28,8 +28,6 @@ const (
 
 	C1 frame.NodeID = 1
 	C2 frame.NodeID = 2
-	C3 frame.NodeID = 3
-	C4 frame.NodeID = 4
 )
 
 // Node is one station placement.
@@ -56,16 +54,6 @@ type Topology struct {
 	// Paper-scale topologies leave it nil (single implicit cell, dense
 	// behavior bit-for-bit).
 	World *Grid
-}
-
-// Node returns the placement of id, or ok=false.
-func (t Topology) Node(id frame.NodeID) (Node, bool) {
-	for _, n := range t.Nodes {
-		if n.ID == id {
-			return n, true
-		}
-	}
-	return Node{}, false
 }
 
 // Senders returns the distinct flow sources, in flow order.

@@ -42,14 +42,22 @@ func TestValidateCatchesErrors(t *testing.T) {
 	}
 }
 
+// nodeOf returns the placement of id in top, failing the test if absent.
+func nodeOf(t *testing.T, top Topology, id frame.NodeID) Node {
+	t.Helper()
+	for _, n := range top.Nodes {
+		if n.ID == id {
+			return n
+		}
+	}
+	t.Fatalf("%s has no node %d", top.Name, id)
+	return Node{}
+}
+
 func TestNodeLookupAndSenders(t *testing.T) {
 	top := ETSweep(20)
-	n, ok := top.Node(C1)
-	if !ok || n.Pos != geom.Pt(8, 0) {
-		t.Errorf("C1 = %+v ok=%v", n, ok)
-	}
-	if _, ok := top.Node(99); ok {
-		t.Error("missing node found")
+	if n := nodeOf(t, top, C1); n.Pos != geom.Pt(8, 0) {
+		t.Errorf("C1 = %+v", n)
 	}
 	s := top.Senders()
 	if len(s) != 2 || s[0] != C1 || s[1] != C2 {
@@ -59,8 +67,8 @@ func TestNodeLookupAndSenders(t *testing.T) {
 
 func TestETSweepGeometry(t *testing.T) {
 	top := ETSweep(25)
-	c2, _ := top.Node(C2)
-	ap1, _ := top.Node(AP1)
+	c2 := nodeOf(t, top, C2)
+	ap1 := nodeOf(t, top, AP1)
 	if got := c2.Pos.DistanceTo(ap1.Pos); got != 25 {
 		t.Errorf("C2-AP1 distance = %v", got)
 	}
@@ -68,7 +76,7 @@ func TestETSweepGeometry(t *testing.T) {
 	// range under the testbed model (0 dBm, alpha 2.9, Tcs -81: ~26 m).
 	model := radio.NewLogNormal2400(2.9, 4)
 	csRange := model.MeanRangeFor(0, -81)
-	c1, _ := top.Node(C1)
+	c1 := nodeOf(t, top, C1)
 	if d := c1.Pos.DistanceTo(c2.Pos); d >= csRange {
 		t.Errorf("C1-C2 distance %v not inside CS range %v", d, csRange)
 	}
@@ -97,12 +105,12 @@ func TestHTRolesZones(t *testing.T) {
 	// model (20 dBm, alpha 3.3, sigma 5, Tcs -80).
 	model := radio.NewLogNormal2400(3.3, 5)
 	top := HTRoles([]Role{RoleContender, RoleHidden, RoleIndependent})
-	c1, _ := top.Node(C1)
-	ap1, _ := top.Node(AP1)
+	c1 := nodeOf(t, top, C1)
+	ap1 := nodeOf(t, top, AP1)
 
-	contender, _ := top.Node(2)
-	hidden, _ := top.Node(3)
-	indep, _ := top.Node(4)
+	contender := nodeOf(t, top, 2)
+	hidden := nodeOf(t, top, 3)
+	indep := nodeOf(t, top, 4)
 
 	// Contender senses C1 with high probability.
 	if p := model.ProbBelowCS(-80, 20, c1.Pos.DistanceTo(contender.Pos)); p > 0.5 {
@@ -129,9 +137,9 @@ func TestHTRolesZones(t *testing.T) {
 
 func TestHTRolesSpreadsSameRoleClients(t *testing.T) {
 	top := HTRoles([]Role{RoleHidden, RoleHidden, RoleHidden})
-	a, _ := top.Node(2)
-	b, _ := top.Node(3)
-	c, _ := top.Node(4)
+	a := nodeOf(t, top, 2)
+	b := nodeOf(t, top, 3)
+	c := nodeOf(t, top, 4)
 	if a.Pos == b.Pos || b.Pos == c.Pos || a.Pos == c.Pos {
 		t.Error("same-role clients must not overlap")
 	}
@@ -209,8 +217,8 @@ func TestLargeScaleProperties(t *testing.T) {
 			if f.Src >= 100 {
 				continue // downlink
 			}
-			client, _ := top.Node(f.Src)
-			ap, _ := top.Node(f.Dst)
+			client := nodeOf(t, top, f.Src)
+			ap := nodeOf(t, top, f.Dst)
 			for _, n := range top.Nodes {
 				if n.IsAP && client.Pos.DistanceTo(n.Pos) < client.Pos.DistanceTo(ap.Pos)-1e-9 {
 					t.Errorf("seed %d: client %d associated with %d but %d is closer",

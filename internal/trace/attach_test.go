@@ -85,8 +85,9 @@ func TestTracerToleratesNilInner(t *testing.T) {
 }
 
 func TestAttachKeepsProtocolRunning(t *testing.T) {
-	// Attach interposes on the MACs' own listeners; if chaining were broken
-	// the stations would never decode a frame and goodput would be zero.
+	// InstrumentMedium interposes on the MACs' own listeners; if chaining
+	// were broken the stations would never decode a frame and goodput would
+	// be zero.
 	top := topology.ETSweep(30)
 	opts := netsim.TestbedOptions()
 	opts.Protocol = netsim.ProtocolDCF
@@ -97,7 +98,7 @@ func TestAttachKeepsProtocolRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf trace.Buffer
-	trace.Attach(n.Eng, n.Medium, &buf, false)
+	trace.InstrumentMedium(n.Eng, n.Medium, &buf, false)
 	res := n.Run()
 	if res.Total() <= 0 {
 		t.Error("goodput zero: tracer did not chain to the MAC listeners")
@@ -122,9 +123,7 @@ func TestInstrumentMediumRecordsTxStarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf trace.Buffer
-	if got := trace.InstrumentMedium(n.Eng, n.Medium, &buf, false); got != len(top.Nodes) {
-		t.Fatalf("InstrumentMedium wrapped %d nodes", got)
-	}
+	trace.InstrumentMedium(n.Eng, n.Medium, &buf, false)
 	n.Run()
 	starts, dones := 0, 0
 	for _, e := range buf.Events {

@@ -205,15 +205,6 @@ type Result struct {
 // Span returns the span for a request ID, nil when absent.
 func (r *Result) Span(req uint64) *Span { return r.byReq[req] }
 
-// Outcomes tallies span outcomes.
-func (r *Result) Outcomes() map[string]int {
-	out := make(map[string]int)
-	for _, s := range r.Spans {
-		out[s.Outcome]++
-	}
-	return out
-}
-
 // builder folds events into the result.
 type builder struct {
 	res         Result

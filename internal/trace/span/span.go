@@ -97,15 +97,6 @@ func (s *Span) InFlightUs() int64 { return phase(s.FirstTxUs, s.EndUs) }
 // unobserved).
 func (s *Span) TotalUs() int64 { return phase(s.EnqueuedUs, s.EndUs) }
 
-// AirUs is the summed airtime of all attempts.
-func (s *Span) AirUs() int64 {
-	var sum int64
-	for _, a := range s.Attempts {
-		sum += a.AirUs
-	}
-	return sum
-}
-
 // Delivered reports whether the destination decoded the frame at least once.
 func (s *Span) Delivered() bool { return s.RxOK > 0 }
 

@@ -206,9 +206,6 @@ func (e Event) SeqNo() uint16 {
 	return *e.Seq
 }
 
-// HasSeq reports whether the event carries a sequence number.
-func (e Event) HasSeq() bool { return e.Seq != nil }
-
 // Decoded reports whether an rx event decoded cleanly. Traces written
 // before the explicit-OK encoding omitted "ok" on failed decodes, so an
 // absent field correctly reads as false.
@@ -329,22 +326,11 @@ func New(eng *sim.Engine, node frame.NodeID, inner channel.Listener, sink Sink, 
 	return &Tracer{eng: eng, node: node, inner: inner, sink: sink, energy: energy}
 }
 
-// Attach interposes tracers on every node of a medium, returning the number
-// wrapped. Call after the MAC listeners are installed.
-func Attach(eng *sim.Engine, m *channel.Medium, sink Sink, energy bool) int {
-	n := 0
-	for _, tr := range m.Nodes() {
-		tr.SetListener(New(eng, tr.ID(), tr.Listener(), sink, energy))
-		n++
-	}
-	return n
-}
-
-// InstrumentMedium attaches per-node PHY tracers (as Attach) and
-// additionally hooks transmission starts into the sink as "txstart" events,
-// so analyzers can reconstruct on-air intervals without guessing airtimes.
-// It returns the number of nodes wrapped.
-func InstrumentMedium(eng *sim.Engine, m *channel.Medium, sink Sink, energy bool) int {
+// InstrumentMedium interposes a PHY tracer on every node of a medium and
+// hooks transmission starts into the sink as "txstart" events, so analyzers
+// can reconstruct on-air intervals without guessing airtimes. Call after the
+// MAC listeners are installed.
+func InstrumentMedium(eng *sim.Engine, m *channel.Medium, sink Sink, energy bool) {
 	m.OnTransmitStart = func(from frame.NodeID, f frame.Frame, r phy.Rate, airtime time.Duration) {
 		e := FrameEvent(KindTxStart, f)
 		e.AtMicros = int64(eng.Now() / time.Microsecond)
@@ -353,7 +339,9 @@ func InstrumentMedium(eng *sim.Engine, m *channel.Medium, sink Sink, energy bool
 		e.DurUs = int64(airtime / time.Microsecond)
 		sink.Record(e)
 	}
-	return Attach(eng, m, sink, energy)
+	for _, tr := range m.Nodes() {
+		tr.SetListener(New(eng, tr.ID(), tr.Listener(), sink, energy))
+	}
 }
 
 // base converts a frame into the shared event fields.

@@ -24,9 +24,7 @@ func runTracedScenario(t *testing.T, sink trace.Sink, energy bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := trace.Attach(n.Eng, n.Medium, sink, energy); got != len(top.Nodes) {
-		t.Fatalf("Attach wrapped %d nodes", got)
-	}
+	trace.InstrumentMedium(n.Eng, n.Medium, sink, energy)
 	n.Run()
 }
 
@@ -69,7 +67,7 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if traced {
-			trace.Attach(n.Eng, n.Medium, &trace.Buffer{}, true)
+			trace.InstrumentMedium(n.Eng, n.Medium, &trace.Buffer{}, true)
 		}
 		return n.Run().Total()
 	}
@@ -224,7 +222,7 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
-	if !got.HasSeq() || got.SeqNo() != 0 {
+	if got.Seq == nil || got.SeqNo() != 0 {
 		t.Errorf("seq 0 lost: %+v", got)
 	}
 	if got.Decoded() {
@@ -248,7 +246,7 @@ func TestEventBackwardCompatDecoding(t *testing.T) {
 	if e.Decoded() {
 		t.Error("absent ok decoded as success")
 	}
-	if e.HasSeq() || e.SeqNo() != 0 {
+	if e.Seq != nil || e.SeqNo() != 0 {
 		t.Errorf("absent seq misread: %+v", e)
 	}
 	if _, ok := e.RSSI(); ok {

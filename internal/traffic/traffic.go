@@ -8,7 +8,6 @@
 package traffic
 
 import (
-	"math/rand"
 	"time"
 
 	"repro/internal/frame"
@@ -47,11 +46,9 @@ type Peer struct {
 	rr      int
 
 	// sink state: last sequence number per source for duplicate rejection.
-	lastSeq   map[frame.NodeID]uint16
-	hasLast   map[frame.NodeID]bool
-	delivered stats.GoodputMeter
-	bySrc     map[frame.NodeID]*stats.GoodputMeter
-	onDeliver func(f frame.Frame)
+	lastSeq map[frame.NodeID]uint16
+	hasLast map[frame.NodeID]bool
+	bySrc   map[frame.NodeID]*stats.GoodputMeter
 }
 
 // NewPeer wires a peer onto the MAC, installing its hooks.
@@ -70,12 +67,6 @@ func NewPeer(eng *sim.Engine, m *mac.MAC) *Peer {
 	return p
 }
 
-// MAC returns the underlying MAC.
-func (p *Peer) MAC() *mac.MAC { return p.m }
-
-// Delivered returns the aggregate unique-payload meter of the sink.
-func (p *Peer) Delivered() *stats.GoodputMeter { return &p.delivered }
-
 // DeliveredFrom returns the per-source unique-payload meter (created on
 // first use).
 func (p *Peer) DeliveredFrom(src frame.NodeID) *stats.GoodputMeter {
@@ -86,9 +77,6 @@ func (p *Peer) DeliveredFrom(src frame.NodeID) *stats.GoodputMeter {
 	}
 	return g
 }
-
-// OnDeliver registers a callback for each newly delivered (unique) frame.
-func (p *Peer) OnDeliver(fn func(f frame.Frame)) { p.onDeliver = fn }
 
 // StartSaturated begins a backlogged stream towards dst; payloadFn is
 // consulted per frame. Multiple streams to distinct destinations share the
@@ -120,23 +108,6 @@ func (p *Peer) scheduleCredit(s *source) {
 		}
 	}
 	s.creditEv = p.eng.AfterTagged(creditInterval, sim.TagTraffic, int32(p.m.ID()), s.tick)
-}
-
-// StartPoisson begins a Poisson arrival process with the given mean frame
-// rate towards dst. Poisson arrivals bypass the pump: each arrival enqueues
-// directly (queue overflow drops are counted by the MAC).
-func (p *Peer) StartPoisson(dst frame.NodeID, payloadFn func() int, framesPerSec float64, rng *rand.Rand) {
-	var seq uint16
-	var arrive func()
-	arrive = func() {
-		f := frame.Frame{Kind: frame.Data, Dst: dst, Seq: seq, PayloadBytes: payloadFn()}
-		seq++
-		_ = p.m.Enqueue(f)
-		gap := rng.ExpFloat64() / framesPerSec
-		p.eng.AfterTagged(time.Duration(gap*float64(time.Second)), sim.TagTraffic, int32(p.m.ID()), arrive)
-	}
-	gap := rng.ExpFloat64() / framesPerSec
-	p.eng.AfterTagged(time.Duration(gap*float64(time.Second)), sim.TagTraffic, int32(p.m.ID()), arrive)
 }
 
 // Stop halts all sources; queued frames drain normally.
@@ -248,9 +219,5 @@ func (p *Peer) onReceive(f frame.Frame, _ float64) {
 	}
 	p.lastSeq[f.Src] = f.Seq
 	p.hasLast[f.Src] = true
-	p.delivered.AddPayload(f.PayloadBytes)
 	p.DeliveredFrom(f.Src).AddPayload(f.PayloadBytes)
-	if p.onDeliver != nil {
-		p.onDeliver(f)
-	}
 }
