@@ -100,7 +100,7 @@ type Agent struct {
 	locs loc.Provider
 	cmap *CoOccurrenceMap
 	// judge holds the decision inputs: the analysis model, the rate set
-	// (SetRates) and the location-health policy and clock (SetHealth).
+	// (SetRates) and the location-health clock (SetHealth).
 	judge Judge
 	// seen records when each foreign link was last observed on the air
 	// (from its discovery header); it drives persistent concurrency. Kept

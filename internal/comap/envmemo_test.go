@@ -92,7 +92,7 @@ func TestCountEnvironmentMemoFollowsLocx(t *testing.T) {
 	medium := channel.NewMedium(eng, radio.NewLogNormal2400(2.9, 0), -95)
 	tr := medium.AddNode(1, envPositions[1], 0, nil)
 	m := mac.New(eng, tr, mac.Config{PHY: phy.DSSS(), CCAThresholdDBm: -81})
-	node := locx.NewClient(eng, m, 10, func() (geom.Point, bool) { return envPositions[1], true }, locx.Config{})
+	node := locx.NewClient(eng, m, 10, func() (geom.Point, bool) { return envPositions[1], true }, 0)
 	node.Start()
 	beacon := func(id frame.NodeID, p geom.Point) {
 		node.OnBeacon(frame.Frame{Kind: frame.LocationBeacon, Seq: uint16(id), X: p.X, Y: p.Y})
@@ -132,10 +132,10 @@ func TestCountEnvironmentFollowsFixAgeing(t *testing.T) {
 	fixes[3] = loc.Fix{Pos: envPositions[3], ReportedAt: 0}
 	now := 500 * time.Millisecond
 	a := NewAgent(1, testbedModel(), versionedFixes{fixes})
-	a.SetHealth(HealthPolicy{MaxFixAge: time.Second}, func() time.Duration { return now })
+	a.SetHealth(func() time.Duration { return now })
 
 	wantEnv(t, a, envCandidates, 1, 2, "all fixes fresh")
-	now = 2500 * time.Millisecond
+	now = 3500 * time.Millisecond // hidden terminal's fix 3.5 s old, the rest 1.5 s
 	wantEnv(t, a, envCandidates, 0, 2, "hidden terminal's fix aged out")
 	fixes[3] = loc.Fix{Pos: envPositions[3], ReportedAt: now}
 	wantEnv(t, a, envCandidates, 1, 2, "hidden terminal re-reported")

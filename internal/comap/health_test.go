@@ -39,14 +39,14 @@ func separatedFixes(at time.Duration) fixTable {
 
 func healthAgent(fixes fixTable, now func() time.Duration) *Agent {
 	a := NewAgent(2, testbedModel(), fixes)
-	a.SetHealth(HealthPolicy{MaxFixAge: time.Second, StalenessMarginDBPerSec: 1}, now)
+	a.SetHealth(now)
 	return a
 }
 
 func TestHealthGateStaleFixFallsBackToDCF(t *testing.T) {
 	now := 10 * time.Second
 	fixes := separatedFixes(now)
-	fixes[1] = loc.Fix{Pos: geom.Pt(0, 0), ReportedAt: 0} // 10 s old, bound 1 s
+	fixes[1] = loc.Fix{Pos: geom.Pt(0, 0), ReportedAt: 0} // 10 s old, bound 3 s
 	a := healthAgent(fixes, func() time.Duration { return now })
 	reg := metrics.NewRegistry()
 	a.SetMetrics(reg)
@@ -107,38 +107,45 @@ func (p posOnly) Position(id frame.NodeID) (geom.Point, bool) {
 // the health gate tripped permanently a few seconds into any run.
 func TestOracleProviderNeverGoesStale(t *testing.T) {
 	a := NewAgent(2, testbedModel(), posOnly(separatedFixes(0)))
-	a.SetHealth(HealthPolicy{MaxFixAge: time.Second}, func() time.Duration { return time.Hour })
+	a.SetHealth(func() time.Duration { return time.Hour })
 	if !a.Allowed(1, 10, 11) {
 		t.Error("metadata-less provider tripped the health gate on clock advance")
 	}
 }
 
 func TestHealthDisabledKeepsOracleBehavior(t *testing.T) {
-	// Ancient fixes, but no health policy: the agent trusts them.
-	a := NewAgent(2, testbedModel(), separatedFixes(0))
-	a.judge.Now = func() time.Duration { return time.Hour }
-	if !a.Allowed(1, 10, 11) {
-		t.Error("without a policy, fix age must not matter")
+	// Fixes an hour old by the clock the gate would read: without a clock
+	// the agent trusts them; with one (the gate's only switch) it denies.
+	fixes := separatedFixes(0)
+	if a := NewAgent(2, testbedModel(), fixes); !a.Allowed(1, 10, 11) {
+		t.Error("without a clock, fix age must not matter")
+	}
+	if a := healthAgent(fixes, func() time.Duration { return time.Hour }); a.Allowed(1, 10, 11) {
+		t.Error("with a clock, hour-old fixes must fall back to DCF")
 	}
 }
 
 func TestStalenessMarginVetoesMarginalPairing(t *testing.T) {
-	// A pairing that is allowed with fresh fixes flips to denied when the
-	// fixes are stale enough (still under the hard age bound) because the
-	// staleness margin inflates the SIR requirement.
+	// A marginal pairing — the observer's link 44 m from the ongoing one
+	// rather than TestAgentAllowedCachesVerdicts' 50 m — that is allowed
+	// with fresh fixes flips to denied when the fixes are 2 s old (still
+	// under MaxFixAge), because 2 dB of staleness margin raises the SIR it
+	// needs.
 	base := func(age time.Duration) bool {
 		now := age + 10*time.Second // keep ReportedAt non-negative (negative = oracle)
 		fixes := separatedFixes(now - age)
+		fixes[2] = loc.Fix{Pos: geom.Pt(44, 0), ReportedAt: now - age}
+		fixes[11] = loc.Fix{Pos: geom.Pt(52, 0), ReportedAt: now - age}
 		a := NewAgent(2, testbedModel(), fixes)
 		a.SetRates(dsssRates())
-		a.SetHealth(HealthPolicy{MaxFixAge: time.Minute, StalenessMarginDBPerSec: 2}, func() time.Duration { return now })
+		a.SetHealth(func() time.Duration { return now })
 		return a.Allowed(1, 10, 11)
 	}
 	if !base(0) {
-		t.Fatal("fresh fixes should allow the separated links")
+		t.Fatal("fresh fixes should allow the marginal pairing")
 	}
-	if base(50 * time.Second) {
-		t.Error("100 dB of staleness margin should veto any pairing")
+	if base(2 * time.Second) {
+		t.Error("2 dB of staleness margin should veto the marginal pairing")
 	}
 }
 
@@ -151,7 +158,7 @@ func TestCapRateStaleFixFallsBackToSlowestRate(t *testing.T) {
 	}
 	a := NewAgent(1, testbedModel(), fixes)
 	a.SetRates(dsssRates())
-	a.SetHealth(HealthPolicy{MaxFixAge: time.Second}, func() time.Duration { return now })
+	a.SetHealth(func() time.Duration { return now })
 	if got := a.CapRate(2, 99, 11, phy.RateDSSS11); got != phy.RateDSSS1 {
 		t.Errorf("stale interferer fix capped at %v, want the slowest rate", got)
 	}
@@ -179,7 +186,7 @@ func TestCapRateErrorRadiusShrinksCap(t *testing.T) {
 		}
 		a := NewAgent(1, testbedModel(), fixes)
 		a.SetRates(dsssRates())
-		a.SetHealth(HealthPolicy{MaxFixAge: time.Minute, UseErrorRadius: true}, func() time.Duration { return 0 })
+		a.SetHealth(func() time.Duration { return 0 })
 		return a.CapRate(2, 99, 11, phy.RateDSSS11)
 	}
 	if precise, fuzzy := capWith(0), capWith(80); fuzzy.BitsPerSec >= precise.BitsPerSec {
@@ -195,7 +202,7 @@ func TestCountEnvironmentFallsBackOnUnhealthyLink(t *testing.T) {
 		3: {Pos: geom.Pt(200, 0), ReportedAt: now},
 	}
 	a := NewAgent(1, testbedModel(), fixes)
-	a.SetHealth(HealthPolicy{MaxFixAge: time.Second}, func() time.Duration { return now })
+	a.SetHealth(func() time.Duration { return now })
 	reg := metrics.NewRegistry()
 	a.SetMetrics(reg)
 	h, c := a.CountEnvironment(2, []frame.NodeID{3})
@@ -233,7 +240,7 @@ func TestChurnRejoinWithinTTLRecomputesVerdict(t *testing.T) {
 		t.Fatal("cached verdicts involving the departed node survived")
 	}
 
-	// ...and rejoins 200 ms later — well inside the 1 s MaxFixAge — right
+	// ...and rejoins 200 ms later — well inside the 3 s MaxFixAge — right
 	// next to the observer, so the ongoing link's receiver would now be
 	// crushed by the observer's transmission.
 	now += 200 * time.Millisecond

@@ -33,19 +33,16 @@ func (v fixView) Position(id frame.NodeID) (geom.Point, bool) {
 // fixes, and mapsvc.Service evaluates the same Judge against its ingested
 // fixes.
 type Judge struct {
-	Model  Model
-	Rates  []phy.Rate
-	Health HealthPolicy
-	// Now supplies virtual time for fix-age computation; nil disables
-	// health gating exactly like Agent.SetHealth with a nil clock.
+	Model Model
+	Rates []phy.Rate
+	// Now supplies virtual time for fix-age computation, and is the
+	// location-health gate's one switch: a Judge with a clock gates on
+	// MaxFixAge, adds the staleness margin and evaluates worst-case
+	// geometry; a nil clock trusts every fix.
 	Now func() time.Duration
 }
 
-func (j Judge) healthEnabled() bool { return j.Health.Enabled() && j.Now != nil }
-
-// useWorstCase reports whether link geometry is evaluated at worst-case
-// distances derived from the fixes' reported error radii.
-func (j Judge) useWorstCase() bool { return j.healthEnabled() && j.Health.UseErrorRadius }
+func (j Judge) healthEnabled() bool { return j.Now != nil }
 
 // FixHealth summarises the health of the given peers' fixes: oldest age and
 // largest error radius. healthy is false when any peer has no fix or a fix
@@ -74,7 +71,7 @@ func (j Judge) FixHealth(fixes FixFunc, ids ...frame.NodeID) (maxAge time.Durati
 		if fix.ErrorRadiusMeters > maxErr {
 			maxErr = fix.ErrorRadiusMeters
 		}
-		if age > j.Health.MaxFixAge {
+		if age > MaxFixAge {
 			healthy = false
 		}
 	}
@@ -86,7 +83,7 @@ func (j Judge) StalenessMarginDB(age time.Duration) float64 {
 	if !j.healthEnabled() {
 		return 0
 	}
-	return j.Health.StalenessMarginDBPerSec * age.Seconds()
+	return StalenessMarginDBPerSec * age.Seconds()
 }
 
 // Decide computes the full concurrency verdict for observer hearing
@@ -138,7 +135,7 @@ func (j Judge) predictSIR(fixes FixFunc, src, dst, interferer frame.NodeID) (sir
 	}
 	d = fs.Pos.DistanceTo(fd.Pos)
 	r := fi.Pos.DistanceTo(fd.Pos)
-	if j.useWorstCase() {
+	if j.healthEnabled() {
 		d += fs.ErrorRadiusMeters + fd.ErrorRadiusMeters
 		r -= fi.ErrorRadiusMeters + fd.ErrorRadiusMeters
 		if r < minWorstCaseMeters {

@@ -23,43 +23,23 @@ import (
 	"repro/internal/sim"
 )
 
-// Config parameterises the exchange.
-type Config struct {
-	// ReportInterval is how often a client checks whether its position
+// The exchange's timing and the paper's mobility-management rule.
+const (
+	// reportInterval is how often a client checks whether its position
 	// moved enough to re-report (the movement check itself is free; only
-	// actual reports cost airtime). Default 250 ms.
-	ReportInterval time.Duration
-	// BroadcastInterval is how often an AP re-broadcasts one neighbor's
-	// position (round-robin over its table). Default 100 ms.
-	BroadcastInterval time.Duration
-	// UpdateThresholdMeters is the paper's mobility-management rule: a
-	// client re-reports only after moving more than this distance. Default
-	// 1 m.
-	UpdateThresholdMeters float64
-	// RefreshInterval forces a client re-report even without movement, so a
-	// lost beacon (e.g. the association-time burst colliding) cannot leave
-	// neighbors blind forever. Default 1 s.
-	RefreshInterval time.Duration
-	// ErrorRadiusMeters is the localization error bound attached to every
-	// fix this node learns or reports (typically the registry's error
-	// range). Zero means the source reports no error bound.
-	ErrorRadiusMeters float64
-}
-
-func (c *Config) applyDefaults() {
-	if c.ReportInterval == 0 {
-		c.ReportInterval = 250 * time.Millisecond
-	}
-	if c.BroadcastInterval == 0 {
-		c.BroadcastInterval = 100 * time.Millisecond
-	}
-	if c.UpdateThresholdMeters == 0 {
-		c.UpdateThresholdMeters = 1
-	}
-	if c.RefreshInterval == 0 {
-		c.RefreshInterval = time.Second
-	}
-}
+	// actual reports cost airtime).
+	reportInterval = 250 * time.Millisecond
+	// broadcastInterval is how often an AP re-broadcasts one neighbor's
+	// position (round-robin over its table).
+	broadcastInterval = 100 * time.Millisecond
+	// updateThresholdMeters is the paper's mobility-management rule: a
+	// client re-reports only after moving more than this distance.
+	updateThresholdMeters = 1.0
+	// refreshInterval forces a client re-report even without movement, so
+	// a lost beacon (e.g. the association-time burst colliding) cannot
+	// leave neighbors blind forever.
+	refreshInterval = time.Second
+)
 
 // Node is one station's location-exchange endpoint and neighbor table.
 // LocationBeacon frames carry the position owner's ID in the Seq field so
@@ -67,7 +47,10 @@ func (c *Config) applyDefaults() {
 type Node struct {
 	eng *sim.Engine
 	m   *mac.MAC
-	cfg Config
+	// errorRadius is the localization error bound attached to every fix
+	// this node learns or reports (typically the registry's error range);
+	// zero means the source reports no error bound.
+	errorRadius float64
 	// measure returns this node's current measured position (already
 	// containing localization error) — typically loc.Registry.Position.
 	measure func() (geom.Point, bool)
@@ -101,29 +84,28 @@ var (
 )
 
 // NewClient creates the exchange endpoint of a client associated with apID.
-// measure supplies the client's own (noisy) position fix.
-func NewClient(eng *sim.Engine, m *mac.MAC, apID frame.NodeID, measure func() (geom.Point, bool), cfg Config) *Node {
-	cfg.applyDefaults()
+// measure supplies the client's own (noisy) position fix; errorRadius is
+// the error bound attached to every fix the node learns or reports.
+func NewClient(eng *sim.Engine, m *mac.MAC, apID frame.NodeID, measure func() (geom.Point, bool), errorRadius float64) *Node {
 	return &Node{
-		eng:     eng,
-		m:       m,
-		cfg:     cfg,
-		measure: measure,
-		apID:    apID,
-		table:   make(map[frame.NodeID]loc.Fix),
+		eng:         eng,
+		m:           m,
+		errorRadius: errorRadius,
+		measure:     measure,
+		apID:        apID,
+		table:       make(map[frame.NodeID]loc.Fix),
 	}
 }
 
 // NewAP creates the exchange endpoint of an access point.
-func NewAP(eng *sim.Engine, m *mac.MAC, measure func() (geom.Point, bool), cfg Config) *Node {
-	cfg.applyDefaults()
+func NewAP(eng *sim.Engine, m *mac.MAC, measure func() (geom.Point, bool), errorRadius float64) *Node {
 	return &Node{
-		eng:     eng,
-		m:       m,
-		cfg:     cfg,
-		measure: measure,
-		isAP:    true,
-		table:   make(map[frame.NodeID]loc.Fix),
+		eng:         eng,
+		m:           m,
+		errorRadius: errorRadius,
+		measure:     measure,
+		isAP:        true,
+		table:       make(map[frame.NodeID]loc.Fix),
 	}
 }
 
@@ -164,9 +146,9 @@ func (n *Node) Stop() {
 }
 
 func (n *Node) scheduleTick() {
-	d := n.cfg.ReportInterval
+	d := reportInterval
 	if n.isAP {
-		d = n.cfg.BroadcastInterval
+		d = broadcastInterval
 	}
 	n.tickEv = n.eng.AfterTagged(d, sim.TagLocx, int32(n.m.ID()), func() {
 		n.tick()
@@ -189,8 +171,8 @@ func (n *Node) maybeReport() {
 	if !ok {
 		return
 	}
-	moved := !n.hasReported || n.lastReported.DistanceTo(pos) > n.cfg.UpdateThresholdMeters
-	stale := n.eng.Now()-n.lastReportTime >= n.cfg.RefreshInterval
+	moved := !n.hasReported || n.lastReported.DistanceTo(pos) > updateThresholdMeters
+	stale := n.eng.Now()-n.lastReportTime >= refreshInterval
 	if n.hasReported && !moved && !stale {
 		return
 	}
@@ -298,7 +280,7 @@ func (n *Node) learn(id frame.NodeID, pos geom.Point) (old loc.Fix, known bool) 
 	n.table[id] = loc.Fix{
 		Pos:               pos,
 		ReportedAt:        n.eng.Now(),
-		ErrorRadiusMeters: n.cfg.ErrorRadiusMeters,
+		ErrorRadiusMeters: n.errorRadius,
 	}
 	return old, known
 }

@@ -43,10 +43,10 @@ func buildExchange(t *testing.T) (*sim.Engine, map[frame.NodeID]*testStation) {
 		return func() (geom.Point, bool) { return positions[id], true }
 	}
 	ap := mk(100, positions[100])
-	ap.node = NewAP(eng, ap.m, measure(100), Config{})
+	ap.node = NewAP(eng, ap.m, measure(100), 0)
 	for _, id := range []frame.NodeID{1, 2} {
 		st := mk(id, positions[id])
-		st.node = NewClient(eng, st.m, 100, measure(id), Config{})
+		st.node = NewClient(eng, st.m, 100, measure(id), 0)
 	}
 	for _, st := range stations {
 		st := st
@@ -94,7 +94,7 @@ func TestExchangeOverheadBounded(t *testing.T) {
 
 	// Static nodes: clients only report on the slow refresh cadence (the
 	// movement threshold suppresses everything else) — one per
-	// RefreshInterval over the 5 s run.
+	// refreshInterval over the 5 s run.
 	for _, id := range []frame.NodeID{1, 2} {
 		got := stations[id].node.BeaconsSent()
 		if got < 1 || got > 6 {
@@ -121,7 +121,7 @@ func TestOnBeaconChangeDetection(t *testing.T) {
 	medium := channel.NewMedium(eng, radio.NewLogNormal2400(2.9, 0), -95)
 	tr := medium.AddNode(1, geom.Pt(0, 0), 0, nil)
 	m := mac.New(eng, tr, mac.Config{PHY: phy.DSSS(), CCAThresholdDBm: -81})
-	n := NewClient(eng, m, 100, func() (geom.Point, bool) { return geom.Pt(0, 0), true }, Config{})
+	n := NewClient(eng, m, 100, func() (geom.Point, bool) { return geom.Pt(0, 0), true }, 0)
 
 	beacon := frame.Frame{Kind: frame.LocationBeacon, Seq: 7, X: 5, Y: 5}
 	if !n.OnBeacon(beacon) {
@@ -168,7 +168,7 @@ func TestMeasureFailureTolerated(t *testing.T) {
 	tr := medium.AddNode(1, geom.Pt(0, 0), 0, nil)
 	m := mac.New(eng, tr, mac.Config{PHY: phy.DSSS(), CCAThresholdDBm: -81})
 	tr.SetListener(m)
-	n := NewClient(eng, m, 100, func() (geom.Point, bool) { return geom.Point{}, false }, Config{})
+	n := NewClient(eng, m, 100, func() (geom.Point, bool) { return geom.Point{}, false }, 0)
 	n.Start()
 	eng.RunUntil(time.Second)
 	if n.BeaconsSent() != 0 {

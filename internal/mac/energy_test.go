@@ -32,12 +32,12 @@ func TestFreshMACDigestsZeroEnergy(t *testing.T) {
 // TestEnergyChangedExposedTerminalSteps drives the exposed-terminal energy
 // rules directly: a latched header opportunity joins on the next energy
 // rise (not on a fall), and a joined station abandons once the aggregate
-// energy climbs ETDeltaDBm (in mW) above the RSSI1 baseline — not before.
+// energy climbs T'cs (in mW) above the RSSI1 baseline — not before. T'cs is
+// the CCA threshold, -81 dBm ≈ 7.9e-9 mW.
 func TestEnergyChangedExposedTerminalSteps(t *testing.T) {
 	n := newTestNet(1, 0)
 	cfg := basicCfg()
 	cfg.Concurrency = allowAll{}
-	cfg.ETDeltaDBm = -70 // 1e-7 mW
 	buf := &trace.Buffer{}
 	cfg.Trace = buf
 	m := n.addStation(1, geom.Pt(0, 0), cfg).mac
@@ -55,25 +55,25 @@ func TestEnergyChangedExposedTerminalSteps(t *testing.T) {
 	}
 	header := frame.Frame{Kind: frame.ComapHeader, Src: 5, Dst: 6}
 
-	m.EnergyChanged(-60)
+	m.EnergyChanged(-70)
 	m.onHeaderDecoded(header, 0)
-	m.EnergyChanged(-65) // a fall is not the announced frame starting
+	m.EnergyChanged(-75) // a fall is not the announced frame starting
 	if !m.concPending || m.concurrent || count(trace.KindETJoin) != 0 {
 		t.Fatalf("joined on an energy fall: pending %v concurrent %v", m.concPending, m.concurrent)
 	}
-	m.EnergyChanged(-60) // 1e-6 mW: the announced data frame is on the air
+	m.EnergyChanged(-70) // 1e-7 mW: the announced data frame is on the air
 	if m.concPending || !m.concurrent || count(trace.KindETJoin) != 1 {
 		t.Fatalf("no join on the energy rise: pending %v concurrent %v", m.concPending, m.concurrent)
 	}
 	if m.rssi1MW != m.energyMW() {
 		t.Errorf("RSSI1 = %v mW, want the energy at the join %v mW", m.rssi1MW, m.energyMW())
 	}
-	m.EnergyChanged(-59.7) // +7.2e-8 mW: below the step
+	m.EnergyChanged(-69.7) // +7.2e-9 mW: below the step
 	if !m.concurrent || m.Stats().Get("et.abandon") != 0 {
-		t.Fatal("abandoned on a rise smaller than ETDeltaDBm")
+		t.Fatal("abandoned on a rise smaller than T'cs")
 	}
-	m.EnergyChanged(-59.5) // +1.2e-7 mW: a second exposed terminal
+	m.EnergyChanged(-69.5) // +1.2e-8 mW: a second exposed terminal
 	if m.concurrent || m.Stats().Get("et.abandon") != 1 || count(trace.KindETAbandon) != 1 {
-		t.Errorf("no abandon on a step of ETDeltaDBm: concurrent %v abandons %d", m.concurrent, m.Stats().Get("et.abandon"))
+		t.Errorf("no abandon on a step of T'cs: concurrent %v abandons %d", m.concurrent, m.Stats().Get("et.abandon"))
 	}
 }

@@ -91,15 +91,10 @@ type Config struct {
 	// slots (the Bianchi model's assumption and CO-MAP's adapted setting).
 	// Otherwise binary exponential backoff runs between PHY.CWMin and CWMax.
 	FixedCW int
-	// RetryLimit is the maximum number of retransmissions per frame in
-	// standard mode (default 7).
-	RetryLimit int
 	// NoRetransmit disables MAC retransmission: a missing ACK completes the
 	// frame with acked=false. CO-MAP's selective-repeat layer sets this and
 	// handles recovery itself (paper §IV-C4).
 	NoRetransmit bool
-	// QueueCap bounds the transmit queue (default 128).
-	QueueCap int
 	// RTSThresholdBytes enables the RTS/CTS handshake for data frames whose
 	// payload is at least this size (0 disables it, as in all of the
 	// paper's experiments; it is provided as a hidden-terminal-mitigation
@@ -114,9 +109,6 @@ type Config struct {
 	// RateCap, when set, bounds the rate of concurrent transmissions by the
 	// position-predicted interference (see RateCapper).
 	RateCap RateCapper
-	// ETDeltaDBm is T'cs: the rise in aggregate RSSI that signals a second
-	// exposed terminal has started transmitting (defaults to CCAThresholdDBm).
-	ETDeltaDBm float64
 	// Rates selects transmit rates; nil uses the PHY's lowest rate.
 	Rates RateSelector
 	// Metrics, when set, receives the MAC's telemetry: the "mac.access_latency"
@@ -130,20 +122,13 @@ type Config struct {
 	Trace trace.Sink
 }
 
-func (c *Config) applyDefaults() {
-	if c.RetryLimit == 0 {
-		c.RetryLimit = 7
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 128
-	}
-	if c.ETDeltaDBm == 0 {
-		c.ETDeltaDBm = c.CCAThresholdDBm
-	}
-	if c.Rates == nil {
-		c.Rates = fixedLowest{c.PHY.LowestRate()}
-	}
-}
+const (
+	// retryLimit is the maximum number of retransmissions per frame in
+	// standard mode.
+	retryLimit = 7
+	// queueCap bounds the transmit queue.
+	queueCap = 128
+)
 
 type fixedLowest struct{ r phy.Rate }
 
@@ -214,7 +199,9 @@ type MAC struct {
 	concPending  bool
 	concExpiryEv sim.Handle
 	rssi1MW      float64
-	// etDeltaMW is cfg.ETDeltaDBm in milliwatts, converted once.
+	// etDeltaMW is T'cs in milliwatts, converted once: the rise in
+	// aggregate energy above RSSI1 that signals a second exposed terminal
+	// has started transmitting. T'cs equals the CCA threshold Tcs.
 	etDeltaMW float64
 	// concSrc/concDst identify the ongoing link we are overlapping with.
 	concSrc, concDst frame.NodeID
@@ -248,7 +235,9 @@ var _ channel.Listener = (*MAC)(nil)
 // supplies the node's ID and position through medium.AddNode indirectly:
 // use Attach for the common construction.
 func New(eng *sim.Engine, tr *channel.Transceiver, cfg Config) *MAC {
-	cfg.applyDefaults()
+	if cfg.Rates == nil {
+		cfg.Rates = fixedLowest{cfg.PHY.LowestRate()}
+	}
 	m := &MAC{
 		eng:       eng,
 		tr:        tr,
@@ -259,7 +248,7 @@ func New(eng *sim.Engine, tr *channel.Transceiver, cfg Config) *MAC {
 		cw:        0,
 		owner:     int32(tr.ID()),
 		energyDBm: math.Inf(-1),
-		etDeltaMW: radio.DBmToMilliwatts(cfg.ETDeltaDBm),
+		etDeltaMW: radio.DBmToMilliwatts(cfg.CCAThresholdDBm),
 	}
 	m.cw = m.initialCW()
 	m.deferFn, m.slotFn, m.ackTimeoutFn, m.ctsTimeoutFn = m.onDeferComplete, m.onSlot, m.onAckTimeout, m.onCTSTimeout
@@ -396,7 +385,7 @@ func (m *MAC) SetFixedCW(w int) {
 // frame's Src is overwritten with this station's ID.
 func (m *MAC) Enqueue(f frame.Frame) error {
 	f.Src = m.ID()
-	if len(m.queue) >= m.cfg.QueueCap {
+	if len(m.queue) >= queueCap {
 		m.stat.Inc("drop.queue_full")
 		if m.trace.Enabled() {
 			e := trace.FrameEvent(trace.KindDrop, f)
@@ -643,7 +632,7 @@ func (m *MAC) onCTSTimeout() {
 		m.trace.Emit(e)
 	}
 	m.retries++
-	if m.retries > m.cfg.RetryLimit {
+	if m.retries > retryLimit {
 		m.stat.Inc("drop.retry_limit")
 		m.completeCurrent(false, "retry_limit")
 		return
@@ -699,7 +688,7 @@ func (m *MAC) onAckTimeout() {
 		return
 	}
 	m.retries++
-	if m.retries > m.cfg.RetryLimit {
+	if m.retries > retryLimit {
 		m.stat.Inc("drop.retry_limit")
 		m.completeCurrent(false, "retry_limit")
 		return

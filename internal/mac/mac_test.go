@@ -117,15 +117,12 @@ func TestQueueDrainsInOrder(t *testing.T) {
 
 func TestQueueFull(t *testing.T) {
 	n := newTestNet(3, 0)
-	cfg := basicCfg()
-	cfg.QueueCap = 2
-	a := n.addStation(1, geom.Pt(0, 0), cfg)
+	a := n.addStation(1, geom.Pt(0, 0), basicCfg())
 	n.addStation(2, geom.Pt(8, 0), basicCfg())
-	if err := a.mac.Enqueue(frame.Frame{Kind: frame.Data, Dst: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.mac.Enqueue(frame.Frame{Kind: frame.Data, Dst: 2}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < queueCap; i++ {
+		if err := a.mac.Enqueue(frame.Frame{Kind: frame.Data, Dst: 2}); err != nil {
+			t.Fatalf("enqueue %d: %v", i+1, err)
+		}
 	}
 	if err := a.mac.Enqueue(frame.Frame{Kind: frame.Data, Dst: 2}); err != ErrQueueFull {
 		t.Errorf("err = %v, want ErrQueueFull", err)
@@ -139,7 +136,6 @@ func TestRetryLimitGivesUp(t *testing.T) {
 	n := newTestNet(4, 0)
 	cfg := basicCfg()
 	cfg.FixedCW = 4
-	cfg.RetryLimit = 3
 	a := n.addStation(1, geom.Pt(0, 0), cfg)
 	// Destination 9 does not exist: no ACK will ever come.
 	if err := a.mac.Enqueue(frame.Frame{Kind: frame.Data, Dst: 9, PayloadBytes: 100}); err != nil {
@@ -149,12 +145,12 @@ func TestRetryLimitGivesUp(t *testing.T) {
 	if len(a.completed) != 1 || a.completed[0].acked {
 		t.Fatalf("completions = %+v", a.completed)
 	}
-	// 1 initial + 3 retries.
-	if got := a.mac.Stats().Get("tx.data"); got != 4 {
-		t.Errorf("tx.data = %d, want 4", got)
+	// 1 initial + 7 retries.
+	if got := a.mac.Stats().Get("tx.data"); got != 1+retryLimit {
+		t.Errorf("tx.data = %d, want %d", got, 1+retryLimit)
 	}
-	if got := a.mac.Stats().Get("ack.timeout"); got != 4 {
-		t.Errorf("ack.timeout = %d, want 4", got)
+	if got := a.mac.Stats().Get("ack.timeout"); got != 1+retryLimit {
+		t.Errorf("ack.timeout = %d, want %d", got, 1+retryLimit)
 	}
 	if got := a.mac.Stats().Get("drop.retry_limit"); got != 1 {
 		t.Errorf("drop.retry_limit = %d", got)
@@ -258,7 +254,6 @@ func TestBEBDoublesWindow(t *testing.T) {
 	n := newTestNet(9, 0)
 	cfg := basicCfg()
 	cfg.FixedCW = 0 // binary exponential backoff
-	cfg.RetryLimit = 2
 	a := n.addStation(1, geom.Pt(0, 0), cfg)
 	if err := a.mac.Enqueue(frame.Frame{Kind: frame.Data, Dst: 9, PayloadBytes: 10}); err != nil {
 		t.Fatal(err)
@@ -445,14 +440,10 @@ func TestStatsNamesStable(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	n := newTestNet(16, 0)
 	s := n.addStation(1, geom.Pt(0, 0), Config{PHY: phy.DSSS(), CCAThresholdDBm: -81})
-	cfg := s.mac.cfg
-	if cfg.RetryLimit != 7 || cfg.QueueCap != 128 {
-		t.Errorf("defaults: %+v", cfg)
+	if want := radio.DBmToMilliwatts(-81); s.mac.etDeltaMW != want {
+		t.Errorf("T'cs = %v mW, want the CCA threshold %v mW", s.mac.etDeltaMW, want)
 	}
-	if cfg.ETDeltaDBm != -81 {
-		t.Errorf("ETDeltaDBm default = %v", cfg.ETDeltaDBm)
-	}
-	if cfg.Rates == nil {
+	if s.mac.cfg.Rates == nil {
 		t.Error("Rates default missing")
 	}
 }

@@ -59,16 +59,14 @@ func TestRTSThresholdSelectsSmallFramesDirectly(t *testing.T) {
 
 func TestCTSTimeoutRetriesAndGivesUp(t *testing.T) {
 	n := newTestNet(23, 0)
-	cfg := rtsCfg()
-	cfg.RetryLimit = 2
-	a := n.addStation(1, geom.Pt(0, 0), cfg)
+	a := n.addStation(1, geom.Pt(0, 0), rtsCfg())
 	// Destination 9 does not exist: no CTS ever comes.
 	if err := a.mac.Enqueue(frame.Frame{Kind: frame.Data, Dst: 9, PayloadBytes: 500}); err != nil {
 		t.Fatal(err)
 	}
 	n.eng.Run()
-	if got := a.mac.Stats().Get("cts.timeout"); got != 3 { // initial + 2 retries
-		t.Errorf("cts.timeout = %d, want 3", got)
+	if got := a.mac.Stats().Get("cts.timeout"); got != 1+retryLimit { // initial + 7 retries
+		t.Errorf("cts.timeout = %d, want %d", got, 1+retryLimit)
 	}
 	if got := a.mac.Stats().Get("tx.data"); got != 0 {
 		t.Errorf("data sent without CTS: %d", got)

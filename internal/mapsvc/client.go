@@ -23,7 +23,7 @@ const (
 	// closed, and synchronous round trips to the service.
 	RungFresh Rung = iota
 	// RungStale serves the client's cached conservative (widened-margin)
-	// verdicts while they are younger than StaleFor.
+	// verdicts while they are younger than staleFor.
 	RungStale
 	// RungCoarse computes worst-case geometry over the local registry view
 	// only — no rate economy, no service.
@@ -64,50 +64,38 @@ func breakerName(s int) string {
 	}
 }
 
-// ClientConfig tunes the control-plane client. Now and After abstract the
-// clock and timer plane: the simulator passes the engine's virtual clock so
-// deadlines, backoff and budget refill all run in sim-time.
-type ClientConfig struct {
-	// Deadline bounds each call attempt.
-	Deadline time.Duration
-	// MaxRetries bounds retry attempts per decision (first attempt free).
-	MaxRetries int
-	// RetryBase is the first backoff; attempt k waits RetryBase<<(k-1),
-	// capped at RetryMax, jittered into [d/2, d] when Jitter is set.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// RetryBudgetPerSec refills the retry token bucket; Burst caps it.
+// The client's tuning. Deadlines are tight because the control plane is
+// co-located; the retry budget is small and bounded, and the breaker trips
+// well inside one fault window.
+const (
+	// callDeadline bounds each call attempt.
+	callDeadline = 20 * time.Millisecond
+	// maxRetries bounds retry attempts per decision (first attempt free).
+	maxRetries = 3
+	// Attempt k backs off retryBase<<(k-1), capped at retryMax and jittered
+	// into [d/2, d] when ClientConfig.Jitter is set.
+	retryBase = 10 * time.Millisecond
+	retryMax  = 160 * time.Millisecond
+	// retryBudgetPerSec refills the retry token bucket; retryBurst caps it.
 	// First attempts are free — the budget only meters retries, so retry
 	// storms cannot amplify an outage.
-	RetryBudgetPerSec float64
-	Burst             float64
-	// BreakerFailures consecutive failures open the circuit breaker;
-	// BreakerCooldown later it half-opens and admits one probe.
-	BreakerFailures int
-	BreakerCooldown time.Duration
-	// StaleFor bounds how old a cached verdict the stale rung may serve.
-	StaleFor time.Duration
+	retryBudgetPerSec = 10
+	retryBurst        = 20
+	// breakerFailures consecutive failures open the circuit breaker;
+	// breakerCooldown later it half-opens and admits one probe.
+	breakerFailures = 5
+	breakerCooldown = 250 * time.Millisecond
+	// staleFor bounds how old a cached verdict the stale rung may serve.
+	staleFor = 3 * time.Second
+)
 
+// ClientConfig abstracts the client's clock and timer plane: the simulator
+// passes the engine's virtual clock so deadlines, backoff and budget refill
+// all run in sim-time. Now and After are required.
+type ClientConfig struct {
 	Now    func() time.Duration
 	After  func(d time.Duration, fn func()) (cancel func())
 	Jitter *rand.Rand
-}
-
-// DefaultClientConfig returns the simulator's tuning: tight deadlines (the
-// control plane is co-located), a small bounded retry budget, and a breaker
-// that trips well inside one fault window.
-func DefaultClientConfig() ClientConfig {
-	return ClientConfig{
-		Deadline:          20 * time.Millisecond,
-		MaxRetries:        3,
-		RetryBase:         10 * time.Millisecond,
-		RetryMax:          160 * time.Millisecond,
-		RetryBudgetPerSec: 10,
-		Burst:             20,
-		BreakerFailures:   5,
-		BreakerCooldown:   250 * time.Millisecond,
-		StaleFor:          3 * time.Second,
-	}
 }
 
 type entry struct {
@@ -156,7 +144,6 @@ type Client struct {
 	tr        *trace.Emitter
 	slo       *slo.Tracker
 	run       string
-	widen     float64
 
 	mu      sync.Mutex
 	entries map[Key]entry
@@ -183,11 +170,10 @@ type Client struct {
 	nextReq      uint64
 	breakerOpens int64
 
-	lastEpoch       uint64
-	needResync      bool
-	resyncing       bool
-	pendingInval    map[frame.NodeID]bool
-	pendingInvalAll bool
+	lastEpoch    uint64
+	needResync   bool
+	resyncing    bool
+	pendingInval map[frame.NodeID]bool
 
 	calls           int64
 	failuresTotal   int64
@@ -200,27 +186,20 @@ type Client struct {
 
 var _ comap.RemoteVerdicts = (*Client)(nil)
 
-// NewClient builds a client over the given transport. widenMeters inflates
-// the coarse-geometry rung (DefaultWidenMeters when 0).
-func NewClient(transport Transport, cfg ClientConfig, widenMeters float64) *Client {
-	if widenMeters == 0 {
-		widenMeters = DefaultWidenMeters
-	}
+// NewClient builds a client over the given transport.
+func NewClient(transport Transport, cfg ClientConfig) *Client {
 	c := &Client{
 		cfg:          cfg,
 		transport:    transport,
-		widen:        widenMeters,
 		entries:      make(map[Key]entry),
 		pending:      make(map[Key]*call),
 		pendingInval: make(map[frame.NodeID]bool),
-		tokensMilli:  int64(cfg.Burst * 1000),
+		tokensMilli:  retryBurst * 1000,
 		rung:         RungFresh,
+		lastRefill:   cfg.Now(),
+		rungSince:    cfg.Now(),
 	}
 	c.hitFast.Store(true)
-	if cfg.Now != nil {
-		c.lastRefill = cfg.Now()
-		c.rungSince = cfg.Now()
-	}
 	return c
 }
 
@@ -309,7 +288,7 @@ func (c *Client) Verdict(observer frame.NodeID, ongoing comap.Link, myDst frame.
 	// A degraded tier may only JUSTIFY concurrency — a conservative deny is
 	// served from the DCF floor, because denying concurrency is exactly what
 	// plain DCF does (the rung reflects the behaviour actually delivered).
-	if e, ok := c.entries[key]; ok && now-e.at <= c.cfg.StaleFor {
+	if e, ok := c.entries[key]; ok && now-e.at <= staleFor {
 		if e.wide {
 			c.serveRungLocked(RungStale, req)
 			return comap.RemoteVerdict{Source: comap.RemoteStale, Allowed: true, Req: req}
@@ -318,7 +297,7 @@ func (c *Client) Verdict(observer frame.NodeID, ongoing comap.Link, myDst frame.
 		return comap.RemoteVerdict{Source: comap.RemoteUnavailable, Req: req}
 	}
 	if c.fixes != nil {
-		if allowed, ok := c.judge.DecideWide(c.fixes, observer, ongoing, myDst, c.widen); ok && allowed {
+		if allowed, ok := c.judge.DecideWide(c.fixes, observer, ongoing, myDst, DefaultWidenMeters); ok && allowed {
 			c.serveRungLocked(RungCoarse, req)
 			return comap.RemoteVerdict{Source: comap.RemoteCoarse, Allowed: true, Req: req}
 		}
@@ -343,9 +322,7 @@ func (c *Client) serveRungLocked(r Rung, req uint64) {
 			})
 		}
 		c.rung = r
-		if c.cfg.Now != nil {
-			c.rungSince = c.cfg.Now()
-		}
+		c.rungSince = c.cfg.Now()
 		c.transitions++
 		c.publishHitFastLocked()
 	}
@@ -390,7 +367,7 @@ func (c *Client) send(cl *call) {
 	if !completed {
 		c.mu.Lock()
 		if !cl.completed && c.pending[cl.key] == cl {
-			cl.cancel = c.cfg.After(c.cfg.Deadline, func() { c.onDeadline(cl) })
+			cl.cancel = c.cfg.After(callDeadline, func() { c.onDeadline(cl) })
 		}
 		c.mu.Unlock()
 	}
@@ -484,7 +461,7 @@ func errReason(err error) string {
 }
 
 func (c *Client) maybeRetryLocked(cl *call, now time.Duration) {
-	if cl.attempt >= c.cfg.MaxRetries {
+	if cl.attempt >= maxRetries {
 		if c.tr.Enabled() {
 			c.tr.Emit(trace.Event{
 				Kind: trace.KindRPCDrop, Op: OpName(OpVerdict), Reason: "retries_exhausted",
@@ -556,10 +533,7 @@ func (c *Client) retryCall(key Key, attempt int, req uint64) {
 // named engine stream only for fault-enabled runs, so zero-fault runs draw
 // no RNG).
 func (c *Client) backoffLocked(attempt int) time.Duration {
-	d := c.cfg.RetryBase << (attempt - 1)
-	if c.cfg.RetryMax > 0 && d > c.cfg.RetryMax {
-		d = c.cfg.RetryMax
-	}
+	d := min(retryBase<<(attempt-1), retryMax)
 	if c.cfg.Jitter != nil && d > 1 {
 		half := int64(d) / 2
 		d = time.Duration(half + c.cfg.Jitter.Int63n(half+1))
@@ -610,14 +584,14 @@ func (c *Client) onFailureLocked(now time.Duration) {
 	switch c.breaker {
 	case breakerClosed:
 		c.failures++
-		if c.failures >= c.cfg.BreakerFailures {
+		if c.failures >= breakerFailures {
 			c.setBreakerLocked(breakerOpen)
-			c.openUntil = now + c.cfg.BreakerCooldown
+			c.openUntil = now + breakerCooldown
 			c.failures = 0
 		}
 	case breakerHalfOpen:
 		c.setBreakerLocked(breakerOpen)
-		c.openUntil = now + c.cfg.BreakerCooldown
+		c.openUntil = now + breakerCooldown
 		c.probing = false
 	}
 }
@@ -645,15 +619,9 @@ func (c *Client) onSuccessLocked(r *Response) bool {
 
 // takeTokenLocked spends one retry token, refilling by elapsed time first.
 func (c *Client) takeTokenLocked(now time.Duration) bool {
-	if c.cfg.RetryBudgetPerSec <= 0 {
-		return true
-	}
 	elapsed := now - c.lastRefill
 	if elapsed > 0 {
-		c.tokensMilli += int64(elapsed.Seconds() * c.cfg.RetryBudgetPerSec * 1000)
-		if max := int64(c.cfg.Burst * 1000); c.tokensMilli > max {
-			c.tokensMilli = max
-		}
+		c.tokensMilli = min(c.tokensMilli+int64(elapsed.Seconds()*retryBudgetPerSec*1000), retryBurst*1000)
 		c.lastRefill = now
 	}
 	if c.tokensMilli < 1000 {
@@ -665,12 +633,12 @@ func (c *Client) takeTokenLocked(now time.Duration) bool {
 
 // IngestFix streams one committed registry fix to the service.
 func (c *Client) IngestFix(id frame.NodeID, fix loc.Fix) {
-	c.sendIngest([]IngestRecord{{Op: RecReport, Node: id, Fix: fix}}, nil)
+	c.sendIngest([]IngestRecord{{Op: RecReport, Node: id, Fix: fix}})
 }
 
 // IngestDeregister streams one deregistration to the service.
 func (c *Client) IngestDeregister(id frame.NodeID) {
-	c.sendIngest([]IngestRecord{{Op: RecDeregister, Node: id}}, nil)
+	c.sendIngest([]IngestRecord{{Op: RecDeregister, Node: id}})
 }
 
 // InvalidateNode mirrors Agent.OnStationChanged on the control plane: the
@@ -701,9 +669,9 @@ func (c *Client) InvalidateNode(id frame.NodeID) {
 	}
 }
 
-// sendIngest fires an ingest batch; onFail (optional, runs locked) records
-// what to replay if delivery fails.
-func (c *Client) sendIngest(recs []IngestRecord, onFail func()) {
+// sendIngest fires an ingest batch. A lost batch needs no replay record:
+// the failure flags a resync, which re-ingests the full registry.
+func (c *Client) sendIngest(recs []IngestRecord) {
 	now := c.cfg.Now()
 	c.mu.Lock()
 	allowed := c.allowCallLocked(now)
@@ -719,13 +687,10 @@ func (c *Client) sendIngest(recs []IngestRecord, onFail func()) {
 				Reason: "breaker_open", Count: len(recs),
 			})
 		}
-		if onFail != nil {
-			onFail()
-		}
 	}
 	c.mu.Unlock()
 	if allowed {
-		c.fire(&Request{Op: OpIngest, Recs: recs}, onFail)
+		c.fire(&Request{Op: OpIngest, Recs: recs}, nil)
 	}
 }
 
@@ -751,7 +716,7 @@ func (c *Client) fire(req *Request, onFail func()) {
 	if !completed {
 		c.mu.Lock()
 		if !f.completed {
-			f.cancel = c.cfg.After(c.cfg.Deadline, func() { c.onFireTimeout(f) })
+			f.cancel = c.cfg.After(callDeadline, func() { c.onFireTimeout(f) })
 		}
 		c.mu.Unlock()
 	}
@@ -842,15 +807,10 @@ func (c *Client) doResync() {
 		invals = append(invals, id)
 	}
 	c.pendingInval = make(map[frame.NodeID]bool)
-	all := c.pendingInvalAll
-	c.pendingInvalAll = false
 	fn := c.resyncFn
 	c.mu.Unlock()
 
 	slices.Sort(invals)
-	if all {
-		c.fire(&Request{Op: OpInvalidateAll}, func() { c.pendingInvalAll = true })
-	}
 	for _, id := range invals {
 		node := id
 		c.fire(&Request{Op: OpInvalidateNode, Node: node}, func() { c.pendingInval[node] = true })
@@ -910,9 +870,7 @@ func (c *Client) Status() ClientStatus {
 		Resyncs:           c.resyncs,
 		PendingCalls:      len(c.pending),
 		Epoch:             c.lastEpoch,
-	}
-	if c.cfg.Now != nil {
-		st.RungDwellSec = (c.cfg.Now() - c.rungSince).Seconds()
+		RungDwellSec:      (c.cfg.Now() - c.rungSince).Seconds(),
 	}
 	st.RungDecisions = map[string]int64{
 		RungFresh.String():  c.rungDecisions[RungFresh] + c.freshHits.Load(),

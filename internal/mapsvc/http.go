@@ -121,7 +121,11 @@ func NewHTTPHandler(svc *Service, maxPendingIngest int, tracker *slo.Tracker) ht
 		}
 		start := time.Now()
 		ctx := ctxFromHeaders(r)
-		if r.URL.Query().Get("all") != "" {
+		if all, ok := r.URL.Query()["all"]; ok {
+			if len(all) != 1 || all[0] != "1" {
+				http.Error(w, fmt.Sprintf("bad all %q: only a single all=1 is accepted", all), http.StatusBadRequest)
+				return
+			}
 			svc.InvalidateAllCtx(ctx)
 			tracker.Observe(OpName(OpInvalidateAll), time.Since(start), !svc.Down())
 		} else {
@@ -235,6 +239,8 @@ func (t *HTTPTransport) do(req *Request) (*Response, error) {
 		}
 		defer httpResp.Body.Close()
 		if httpResp.StatusCode != http.StatusOK {
+			// Drain so the keep-alive connection can be reused.
+			io.Copy(io.Discard, httpResp.Body)
 			return nil, fmt.Errorf("mapsvc: verdict: HTTP %d", httpResp.StatusCode)
 		}
 		var out struct {
@@ -251,8 +257,6 @@ func (t *HTTPTransport) do(req *Request) (*Response, error) {
 	case OpInvalidateNode:
 		httpResp, err = t.roundTrip(hc, http.MethodPost,
 			fmt.Sprintf("%s/v1/invalidate?node=%d", t.Base, req.Node), "", nil, req.Ctx)
-	case OpInvalidateAll:
-		httpResp, err = t.roundTrip(hc, http.MethodPost, t.Base+"/v1/invalidate?all=1", "", nil, req.Ctx)
 	default:
 		return nil, fmt.Errorf("mapsvc: unknown op %d", req.Op)
 	}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,7 +27,7 @@ func newHTTPFixture(t *testing.T) (*httptest.Server, *Service, *slo.Tracker, fun
 	start := time.Now()
 	now := func() time.Duration { return time.Since(start) }
 	svc := NewService(ServiceConfig{
-		Judge: testJudge(comap.HealthPolicy{}, nil),
+		Judge: testJudge(nil),
 		Now:   now,
 	})
 	if err := svc.Recover(); err != nil {
@@ -190,4 +192,115 @@ func TestHTTPRequestsWithoutHeadersStillServe(t *testing.T) {
 		}
 	}
 	t.Fatal("no verdict server event at all")
+}
+
+// TestHTTPInvalidateAllAcceptsOnlyOne asserts /v1/invalidate empties the
+// verdict cache for all=1 only: any other value of all is a 400 that
+// leaves the cache alone.
+func TestHTTPInvalidateAllAcceptsOnlyOne(t *testing.T) {
+	srv, svc, _, _ := newHTTPFixture(t)
+	if err := svc.ApplyCtx(testTopologyRecords(0), CallContext{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.VerdictForCtx(farKey, CallContext{}); err != nil {
+		t.Fatal(err)
+	}
+	post := func(query string) int {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+"/v1/invalidate?"+query, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, q := range []string{"all=0", "all=", "all=true", "all=1&all=0", "all=0&node=2"} {
+		if code := post(q); code != http.StatusBadRequest {
+			t.Errorf("invalidate?%s: status %d, want 400", q, code)
+		}
+		if st := svc.Status(); st.Invalidations != 0 || st.CacheEntries != 1 {
+			t.Fatalf("invalidate?%s changed the cache: invalidations %d, entries %d", q, st.Invalidations, st.CacheEntries)
+		}
+	}
+	if code := post("all=1"); code != http.StatusOK {
+		t.Fatalf("invalidate?all=1: status %d, want 200", code)
+	}
+	if st := svc.Status(); st.Invalidations != 1 || st.CacheEntries != 0 {
+		t.Fatalf("invalidate?all=1: invalidations %d, entries %d, want 1 and 0", st.Invalidations, st.CacheEntries)
+	}
+}
+
+// TestHTTPTransportReusesConnAfterVerdictError asserts failing verdict
+// calls leave their keep-alive connection reusable: with the service down,
+// every call gets a 503, and all of them must share one TCP connection.
+func TestHTTPTransportReusesConnAfterVerdictError(t *testing.T) {
+	svc := NewService(ServiceConfig{Judge: testJudge(nil)})
+	svc.Crash()
+	srv := httptest.NewUnstartedServer(NewHTTPHandler(svc, 0, nil))
+	var conns atomic.Int64
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+
+	tr := &HTTPTransport{Base: srv.URL, Client: srv.Client()}
+	const calls = 5
+	for i := 0; i < calls; i++ {
+		var callErr error
+		tr.Invoke(&Request{Op: OpVerdict, Key: farKey}, func(_ *Response, err error) { callErr = err })
+		if callErr == nil {
+			t.Fatalf("verdict %d from a crashed service succeeded", i)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("%d failing verdict calls opened %d connections, want 1", calls, n)
+	}
+}
+
+// httpPaths are the mapd endpoints FuzzHTTPHandler drives.
+var httpPaths = []string{"/v1/ingest", "/v1/verdict", "/v1/invalidate"}
+
+// FuzzHTTPHandler sends fuzzed methods, queries and bodies to the mapd
+// ingest, verdict and invalidate endpoints. No input may panic the
+// handler or draw a status other than 200, 400, 405 or 503, and a rejected
+// ingest must leave the ingest count unchanged.
+func FuzzHTTPHandler(f *testing.F) {
+	ingest := EncodeRecords(testTopologyRecords(time.Second))
+	f.Add("POST", uint8(0), "", ingest)
+	f.Add("POST", uint8(0), "", ingest[:len(ingest)-1])
+	f.Add("GET", uint8(0), "", ingest)
+	f.Add("GET", uint8(1), "obs=3&src=1&dst=2&mydst=4", []byte(nil))
+	f.Add("GET", uint8(1), "obs=3&src=1&dst=2&mydst=70000", []byte(nil))
+	f.Add("POST", uint8(2), "node=2", []byte(nil))
+	f.Add("POST", uint8(2), "all=1", []byte(nil))
+	f.Add("POST", uint8(2), "all=0", []byte(nil))
+	f.Add("DELETE", uint8(2), "node=x", []byte("x"))
+	f.Fuzz(func(t *testing.T, method string, path uint8, query string, body []byte) {
+		svc := NewService(ServiceConfig{Judge: testJudge(nil), Store: NewMemStore()})
+		if err := svc.ApplyCtx(testTopologyRecords(0), CallContext{}); err != nil {
+			t.Fatal(err)
+		}
+		h := NewHTTPHandler(svc, 0, slo.NewTracker(func() time.Duration { return 0 }, slo.DefaultObjectives()...))
+		p := httpPaths[int(path)%len(httpPaths)]
+		req, err := http.NewRequest(method, "http://mapd"+p+"?"+query, bytes.NewReader(body))
+		if err != nil || req.URL.Path != p {
+			return // not a request a client could send to this endpoint
+		}
+		before := svc.Status().Ingested
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusMethodNotAllowed, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("%s %s?%s: status %d", method, p, query, rec.Code)
+		}
+		if p == "/v1/ingest" && rec.Code != http.StatusOK {
+			if after := svc.Status().Ingested; after != before {
+				t.Fatalf("rejected ingest (status %d) moved Ingested %d -> %d", rec.Code, before, after)
+			}
+		}
+	})
 }

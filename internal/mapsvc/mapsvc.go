@@ -67,7 +67,7 @@ const DefaultSnapshotEvery = 4096
 
 // ServiceConfig configures a Service.
 type ServiceConfig struct {
-	// Judge is the verdict oracle (model, rates, health policy, clock) —
+	// Judge is the verdict oracle (model, rates, health-gate clock) —
 	// the exact computation the in-process agent runs.
 	Judge comap.Judge
 	// WidenMeters inflates error radii for the Wide verdict

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -392,7 +393,8 @@ func FuzzRecover(f *testing.F) {
 // verdicts are pure geometry, so the tests below pick layouts that are
 // unambiguously allowed (links 300 m apart) or denied (interferer 1 m from
 // the receiver).
-func testJudge(health comap.HealthPolicy, now func() time.Duration) comap.Judge {
+// now, when non-nil, turns the location-health gate on.
+func testJudge(now func() time.Duration) comap.Judge {
 	prop := radio.NewLogNormal2400(3.3, 5)
 	return comap.Judge{
 		Model: comap.Model{
@@ -404,9 +406,8 @@ func testJudge(health comap.HealthPolicy, now func() time.Duration) comap.Judge 
 			CSMissProb:     0.9,
 			SensitivityDBm: -94,
 		},
-		Rates:  phy.NS2Table1().Rates,
-		Health: health,
-		Now:    now,
+		Rates: phy.NS2Table1().Rates,
+		Now:   now,
 	}
 }
 
@@ -432,7 +433,7 @@ var (
 )
 
 func TestServiceVerdictComputeCacheInvalidate(t *testing.T) {
-	svc := NewService(ServiceConfig{Judge: testJudge(comap.HealthPolicy{}, nil)})
+	svc := NewService(ServiceConfig{Judge: testJudge(nil)})
 	if err := svc.ApplyCtx(testTopologyRecords(0), CallContext{}); err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +487,7 @@ func TestServiceVerdictComputeCacheInvalidate(t *testing.T) {
 func TestServiceUnhealthyVerdictsNeverCached(t *testing.T) {
 	now := time.Duration(0)
 	svc := NewService(ServiceConfig{
-		Judge: testJudge(comap.DefaultHealthPolicy(), func() time.Duration { return now }),
+		Judge: testJudge(func() time.Duration { return now }),
 	})
 	recs := testTopologyRecords(0)
 	// Leave node 4 (myDst) out: the health gate must refuse the verdict.
@@ -519,7 +520,7 @@ func TestServiceUnhealthyVerdictsNeverCached(t *testing.T) {
 	// Ageing every fix past the confidence bound makes fresh keys unhealthy
 	// again — but the cached verdict for farKey still serves (staleness
 	// gating of cached entries is the client ladder's job, not the cache's).
-	now = comap.DefaultHealthPolicy().MaxFixAge + time.Second
+	now = comap.MaxFixAge + time.Second
 	v, err = svc.VerdictForCtx(nearKey, CallContext{})
 	if err != nil {
 		t.Fatal(err)
@@ -532,7 +533,7 @@ func TestServiceUnhealthyVerdictsNeverCached(t *testing.T) {
 func TestServiceCrashRecoverReplaysWAL(t *testing.T) {
 	store := NewMemStore()
 	svc := NewService(ServiceConfig{
-		Judge:         testJudge(comap.HealthPolicy{}, nil),
+		Judge:         testJudge(nil),
 		Store:         store,
 		SnapshotEvery: 4,
 	})
@@ -681,14 +682,29 @@ func (s *scriptTransport) ops() []Op {
 	return out
 }
 
-func clientHarness(cfg ClientConfig) (*Client, *scriptTransport, *fakeClock) {
+func clientHarness() (*Client, *scriptTransport, *fakeClock) {
 	fc := &fakeClock{}
-	cfg.Now = fc.Now
-	cfg.After = fc.After
 	tr := &scriptTransport{mode: "ok", epoch: 1}
-	c := NewClient(tr, cfg, 0)
+	c := NewClient(tr, ClientConfig{Now: fc.Now, After: fc.After})
 	c.AdoptEpoch(1)
 	return c, tr, fc
+}
+
+// tripBreaker fails breakerFailures consecutive verdict calls for observer
+// obs, which opens the breaker. Each failure schedules a retry that only
+// fires when the clock advances — by then the breaker refuses it.
+func tripBreaker(t *testing.T, c *Client, tr *scriptTransport, obs frame.NodeID) {
+	t.Helper()
+	tr.mode = "err"
+	for i := 0; i < breakerFailures; i++ {
+		if st := c.Status(); st.Breaker != "closed" {
+			t.Fatalf("breaker %s after %d failures, want closed until %d", st.Breaker, i, breakerFailures)
+		}
+		askRemote(c, obs)
+	}
+	if st := c.Status(); st.Breaker != "open" {
+		t.Fatalf("breaker %s after %d failures, want open", st.Breaker, breakerFailures)
+	}
 }
 
 func verdictKey(obs frame.NodeID) Key {
@@ -701,7 +717,7 @@ func askRemote(c *Client, obs frame.NodeID) comap.RemoteVerdict {
 }
 
 func TestClientFreshInlineAndCachedFresh(t *testing.T) {
-	c, tr, _ := clientHarness(DefaultClientConfig())
+	c, tr, _ := clientHarness()
 	tr.verdict = Verdict{Allowed: true, Wide: true}
 
 	v := askRemote(c, 3)
@@ -732,10 +748,7 @@ func TestClientFreshInlineAndCachedFresh(t *testing.T) {
 // Status (run under -race), then checks every hit was counted on the fresh
 // rung and that an open breaker takes hits off the lock-free path.
 func TestClientHitPathConcurrentWithStatus(t *testing.T) {
-	cfg := DefaultClientConfig()
-	cfg.BreakerFailures = 1
-	cfg.MaxRetries = 0
-	c, tr, _ := clientHarness(cfg)
+	c, tr, _ := clientHarness()
 	const workers, hits = 4, 500
 	k := verdictKey(3)
 	var wg sync.WaitGroup
@@ -764,15 +777,14 @@ func TestClientHitPathConcurrentWithStatus(t *testing.T) {
 		t.Fatalf("after %d hits: fresh = %d, calls = %d", workers*hits, st.RungDecisions["fresh"], st.Calls)
 	}
 
-	tr.mode = "err"
-	askRemote(c, 5) // one failure opens the breaker
+	tripBreaker(t, c, tr, 5)
 	if v := c.Verdict(k.Observer, k.Ongoing, k.MyDst, true, true); v.Source == comap.RemoteCachedFresh {
 		t.Fatalf("hit on an open breaker served cached-fresh: %+v", v)
 	}
 }
 
 func TestClientUnhealthyVerdictPropagates(t *testing.T) {
-	c, tr, _ := clientHarness(DefaultClientConfig())
+	c, tr, _ := clientHarness()
 	tr.verdict = Verdict{Unhealthy: true}
 	v := askRemote(c, 3)
 	if v.Source != comap.RemoteValidated || !v.Unhealthy {
@@ -788,17 +800,10 @@ func TestClientUnhealthyVerdictPropagates(t *testing.T) {
 }
 
 func TestClientBreakerOpensAndRecovers(t *testing.T) {
-	cfg := DefaultClientConfig()
-	cfg.BreakerFailures = 2
-	cfg.BreakerCooldown = 100 * time.Millisecond
-	cfg.MaxRetries = 0
-	c, tr, fc := clientHarness(cfg)
-	tr.mode = "err"
-
-	askRemote(c, 3)
-	askRemote(c, 5)
-	if st := c.Status(); st.Breaker != "open" || st.Failures != 2 {
-		t.Fatalf("breaker after %d failures: %+v", cfg.BreakerFailures, st)
+	c, tr, fc := clientHarness()
+	tripBreaker(t, c, tr, 3)
+	if st := c.Status(); st.Failures != breakerFailures {
+		t.Fatalf("failures = %d, want %d", st.Failures, breakerFailures)
 	}
 	// Open breaker: fail fast, no transport traffic.
 	before := len(tr.reqs)
@@ -810,9 +815,19 @@ func TestClientBreakerOpensAndRecovers(t *testing.T) {
 		t.Fatal("open breaker still sent a call")
 	}
 
+	// Just short of the cooldown the breaker is still open: the retries the
+	// failures scheduled come due and are refused without a call.
+	fc.advance(breakerCooldown - time.Millisecond)
+	if len(tr.reqs) != before {
+		t.Fatalf("open breaker let %d retries through", len(tr.reqs)-before)
+	}
+	if v := askRemote(c, 7); v.Source != comap.RemoteUnavailable || len(tr.reqs) != before {
+		t.Fatalf("breaker half-opened before the cooldown: %+v", v)
+	}
+
 	// After the cooldown the breaker half-opens, admits one probe, and a
 	// success closes it.
-	fc.advance(cfg.BreakerCooldown)
+	fc.advance(time.Millisecond)
 	tr.mode = "ok"
 	tr.verdict = Verdict{Allowed: true, Wide: true}
 	v = askRemote(c, 9)
@@ -825,9 +840,7 @@ func TestClientBreakerOpensAndRecovers(t *testing.T) {
 }
 
 func TestClientDeadlineEndsLostCall(t *testing.T) {
-	cfg := DefaultClientConfig()
-	cfg.MaxRetries = 0
-	c, tr, fc := clientHarness(cfg)
+	c, tr, fc := clientHarness()
 	tr.mode = "lost"
 
 	v := askRemote(c, 3)
@@ -837,52 +850,81 @@ func TestClientDeadlineEndsLostCall(t *testing.T) {
 	if st := c.Status(); st.PendingCalls != 1 || st.Timeouts != 0 {
 		t.Fatalf("pre-deadline status %+v", st)
 	}
-	fc.advance(cfg.Deadline)
+	fc.advance(callDeadline)
 	st := c.Status()
 	if st.PendingCalls != 0 || st.Timeouts != 1 || st.Failures != 1 {
 		t.Fatalf("post-deadline status %+v, want the deadline to end the call", st)
 	}
+	// Every retry is lost too and ends at its own deadline: the first
+	// attempt plus maxRetries, fewer than breakerFailures, so the breaker
+	// stays closed.
+	fc.advance(time.Second)
+	st = c.Status()
+	if st.Calls != 1+maxRetries || st.Timeouts != 1+maxRetries || st.PendingCalls != 0 || st.Breaker != "closed" {
+		t.Fatalf("after every retry timed out: %+v, want %d calls and timeouts, breaker closed", st, 1+maxRetries)
+	}
 }
 
-func TestClientRetryBackoffAndBudget(t *testing.T) {
-	cfg := DefaultClientConfig()
-	cfg.MaxRetries = 3
-	cfg.BreakerFailures = 100 // keep the breaker out of this test
-	cfg.RetryBudgetPerSec = 0.0001
-	cfg.Burst = 1 // exactly one retry token, effectively no refill
-	c, tr, fc := clientHarness(cfg)
+// TestClientRetryBackoff follows one failing request through its retries:
+// each waits retryBase<<(k-1) after the previous failure, and after
+// maxRetries the request is dropped.
+func TestClientRetryBackoff(t *testing.T) {
+	c, tr, fc := clientHarness()
 	tr.mode = "err"
 
 	askRemote(c, 3)
 	if st := c.Status(); st.Retries != 1 {
 		t.Fatalf("retries after first failure = %d, want 1 scheduled", st.Retries)
 	}
-	if len(tr.reqs) != 1 {
-		t.Fatal("retry fired before its backoff elapsed")
+	for k := 1; k <= maxRetries; k++ {
+		backoff := retryBase << (k - 1)
+		fc.advance(backoff - time.Millisecond)
+		if len(tr.reqs) != k {
+			t.Fatalf("retry %d fired before its %v backoff: %d calls", k, backoff, len(tr.reqs))
+		}
+		fc.advance(time.Millisecond)
+		if len(tr.reqs) != k+1 {
+			t.Fatalf("retry %d did not fire at %v: %d calls", k, backoff, len(tr.reqs))
+		}
+		if got := tr.reqs[k]; got.Ctx.Req != tr.reqs[0].Ctx.Req || got.Ctx.Attempt != k+1 {
+			t.Fatalf("retry %d context = %+v, want request %d attempt %d", k, got.Ctx, tr.reqs[0].Ctx.Req, k+1)
+		}
 	}
-	fc.advance(cfg.RetryBase - time.Millisecond)
-	if len(tr.reqs) != 1 {
-		t.Fatal("retry fired early")
-	}
-	fc.advance(time.Millisecond)
-	if len(tr.reqs) != 2 {
-		t.Fatalf("retry did not fire at RetryBase; %d calls", len(tr.reqs))
-	}
-	// The retry failed too, but the token bucket is empty: no further
-	// attempts, and the exhaustion is counted.
 	fc.advance(time.Second)
 	st := c.Status()
-	if st.Calls != 2 || st.Retries != 1 || st.BudgetExhausted != 1 {
-		t.Fatalf("budget-exhausted status %+v, want calls=2 retries=1 budget_exhausted=1", st)
+	if st.Calls != 1+maxRetries || st.Retries != maxRetries || st.BudgetExhausted != 0 || st.Breaker != "closed" {
+		t.Fatalf("status %+v, want %d calls, %d retries, no budget exhaustion, breaker closed", st, 1+maxRetries, maxRetries)
+	}
+}
+
+// TestClientRetryBudgetExhausts drives the retry budget dry with the
+// production constants. The breaker opens after breakerFailures consecutive
+// failures, before the retryBurst tokens run out, so only failures broken
+// up by successes can spend the whole budget: the scripted transport
+// alternates the two, the clock never moves (no refill, no retry fires),
+// and every failure spends one token on its retry.
+func TestClientRetryBudgetExhausts(t *testing.T) {
+	c, tr, _ := clientHarness()
+	for i := 0; i < retryBurst+1; i++ {
+		tr.mode = "err"
+		askRemote(c, 3)
+		tr.mode = "ok"
+		askRemote(c, 5)
+	}
+	st := c.Status()
+	if st.BudgetExhausted != 1 || st.Retries != retryBurst {
+		t.Fatalf("retries = %d, budget_exhausted = %d, want %d and 1", st.Retries, st.BudgetExhausted, retryBurst)
+	}
+	if st.Breaker != "closed" || st.BreakerOpens != 0 {
+		t.Fatalf("breaker %s (opens %d), want closed throughout", st.Breaker, st.BreakerOpens)
+	}
+	if st.RetryBudget != 0 {
+		t.Fatalf("retry budget = %v, want 0", st.RetryBudget)
 	}
 }
 
 func TestClientLadderStaleCoarseDCF(t *testing.T) {
-	cfg := DefaultClientConfig()
-	cfg.BreakerFailures = 1
-	cfg.MaxRetries = 0
-	cfg.StaleFor = time.Second
-	c, tr, fc := clientHarness(cfg)
+	c, tr, fc := clientHarness()
 
 	// Seed the stale cache with keys disjoint from the geometry keys below:
 	// observer 30 allowed wide, observer 50 allowed but narrow.
@@ -896,15 +938,14 @@ func TestClientLadderStaleCoarseDCF(t *testing.T) {
 	for _, r := range testTopologyRecords(0) {
 		fixes[r.Node] = r.Fix
 	}
-	c.SetJudge(testJudge(comap.HealthPolicy{}, nil))
+	c.SetJudge(testJudge(nil))
 	c.SetFixes(func(id frame.NodeID) (loc.Fix, bool) {
 		f, ok := fixes[id]
 		return f, ok
 	})
 
-	// One failure trips the breaker; the ladder takes over.
-	tr.mode = "err"
-	askRemote(c, 7)
+	// Tripping the breaker hands the decisions to the ladder.
+	tripBreaker(t, c, tr, 7)
 
 	// Stale rung: the wide cached verdict still justifies concurrency.
 	v := askRemote(c, 30)
@@ -928,9 +969,9 @@ func TestClientLadderStaleCoarseDCF(t *testing.T) {
 		t.Fatalf("near coarse verdict = %+v, want the DCF floor", v)
 	}
 
-	// Past StaleFor the stale entry expires and observer 30 (no local fix)
+	// Past staleFor the stale entry expires and observer 30 (no local fix)
 	// falls through the coarse tier to the DCF floor.
-	fc.advance(2 * time.Second)
+	fc.advance(staleFor + time.Millisecond)
 	v = askRemote(c, 30)
 	if v.Source != comap.RemoteUnavailable {
 		t.Fatalf("expired-entry verdict = %+v, want the DCF floor", v)
@@ -946,10 +987,7 @@ func TestClientLadderStaleCoarseDCF(t *testing.T) {
 }
 
 func TestClientEpochChangeTriggersResync(t *testing.T) {
-	cfg := DefaultClientConfig()
-	cfg.BreakerFailures = 1
-	cfg.MaxRetries = 0
-	c, tr, fc := clientHarness(cfg)
+	c, tr, fc := clientHarness()
 
 	resyncRecs := []IngestRecord{
 		{Op: RecReport, Node: 1, Fix: loc.Fix{Pos: geom.Point{X: 1}}},
@@ -957,12 +995,15 @@ func TestClientEpochChangeTriggersResync(t *testing.T) {
 	}
 	c.SetResync(func() []IngestRecord { return resyncRecs })
 
-	// A failed invalidation must be queued, not lost: the breaker is closed
-	// so the fire happens, fails, and trips the breaker.
+	// Failed invalidations must be queued, not lost: the breaker is closed
+	// so each fire happens and fails, and the last one trips the breaker.
 	tr.mode = "err"
-	c.InvalidateNode(5)
+	invalidated := []frame.NodeID{9, 5, 7, 6, 8}
+	for _, id := range invalidated {
+		c.InvalidateNode(id)
+	}
 	if st := c.Status(); st.Breaker != "open" {
-		t.Fatalf("breaker after failed invalidation: %q", st.Breaker)
+		t.Fatalf("breaker after %d failed invalidations: %q", len(invalidated), st.Breaker)
 	}
 	// While the breaker is open, ingest traffic is suppressed entirely.
 	before := len(tr.reqs)
@@ -972,8 +1013,9 @@ func TestClientEpochChangeTriggersResync(t *testing.T) {
 	}
 
 	// Service restarts: epoch bumps. The next successful call must notice
-	// and resync — queued invalidations first, then the registry dump.
-	fc.advance(cfg.BreakerCooldown)
+	// and resync — queued invalidations first, in node order, then the
+	// registry dump.
+	fc.advance(breakerCooldown)
 	tr.mode = "ok"
 	tr.epoch = 2
 	tr.verdict = Verdict{Allowed: true, Wide: true}
@@ -983,28 +1025,32 @@ func TestClientEpochChangeTriggersResync(t *testing.T) {
 	if st.Resyncs != 1 || st.Epoch != 2 {
 		t.Fatalf("resyncs=%d epoch=%d, want 1/2", st.Resyncs, st.Epoch)
 	}
-	ops := tr.ops()
-	// [failed OpInvalidateNode, probe OpVerdict, replayed OpInvalidateNode,
-	// resync OpIngest]
-	want := []Op{OpInvalidateNode, OpVerdict, OpInvalidateNode, OpIngest}
-	if len(ops) != len(want) {
-		t.Fatalf("ops = %v, want %v", ops, want)
+	// [5 failed OpInvalidateNode, probe OpVerdict, 5 replayed
+	// OpInvalidateNode, resync OpIngest]
+	var want []Op
+	for range invalidated {
+		want = append(want, OpInvalidateNode)
 	}
-	for i := range want {
-		if ops[i] != want[i] {
-			t.Fatalf("ops = %v, want %v", ops, want)
-		}
+	want = append(want, OpVerdict)
+	for range invalidated {
+		want = append(want, OpInvalidateNode)
+	}
+	want = append(want, OpIngest)
+	if ops := tr.ops(); !slices.Equal(ops, want) {
+		t.Fatalf("ops = %v, want %v", ops, want)
 	}
 	if last := tr.reqs[len(tr.reqs)-1]; len(last.Recs) != 2 || last.Recs[0].Node != 1 {
 		t.Fatalf("resync ingest = %+v, want the registry dump", last.Recs)
 	}
-	if tr.reqs[2].Node != 5 {
-		t.Fatalf("replayed invalidation for node %d, want 5", tr.reqs[2].Node)
+	for i, id := range []frame.NodeID{5, 6, 7, 8, 9} {
+		if got := tr.reqs[len(invalidated)+1+i].Node; got != id {
+			t.Fatalf("replayed invalidation %d for node %d, want %d", i, got, id)
+		}
 	}
 }
 
 func TestClientIngestStreams(t *testing.T) {
-	c, tr, _ := clientHarness(DefaultClientConfig())
+	c, tr, _ := clientHarness()
 	c.IngestFix(7, loc.Fix{Pos: geom.Point{X: 3, Y: 4}})
 	c.IngestDeregister(7)
 	st := c.Status()
@@ -1022,7 +1068,7 @@ func TestClientIngestStreams(t *testing.T) {
 // TestClientStatusJSONStable pins that Status marshals (the /healthz
 // contract) without nil maps or surprises.
 func TestClientStatusJSONStable(t *testing.T) {
-	c, _, _ := clientHarness(DefaultClientConfig())
+	c, _, _ := clientHarness()
 	st := c.Status()
 	if st.RungDecisions == nil || len(st.RungDecisions) != 4 {
 		t.Fatalf("rung decisions map %+v, want all four rungs present", st.RungDecisions)

@@ -17,7 +17,8 @@ const (
 	OpIngest
 	// OpInvalidateNode drops cached verdicts involving a node.
 	OpInvalidateNode
-	// OpInvalidateAll empties the verdict cache.
+	// OpInvalidateAll empties the verdict cache. Only outside callers of
+	// comap-mapd's /v1/invalidate?all=1 issue it; the Client never does.
 	OpInvalidateAll
 )
 
@@ -147,11 +148,6 @@ func (t *SimTransport) apply(req *Request) (*Response, error) {
 			return nil, ErrUnavailable
 		}
 		t.svc.InvalidateNodeCtx(req.Node, req.Ctx)
-	case OpInvalidateAll:
-		if t.svc.Down() {
-			return nil, ErrUnavailable
-		}
-		t.svc.InvalidateAllCtx(req.Ctx)
 	}
 	return &Response{Epoch: t.svc.Epoch()}, nil
 }

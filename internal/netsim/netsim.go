@@ -347,10 +347,6 @@ type Network struct {
 	// Audit is the determinism ledger (nil unless Options.Audit is set).
 	Audit *audit.Ledger
 
-	// health is the CO-MAP location-health policy in force (zero when
-	// disabled).
-	health comap.HealthPolicy
-
 	providers map[frame.NodeID]*providerRef
 
 	// Remote CO-MAP control-plane stack (nil unless Options.ComapRemote).
@@ -424,12 +420,7 @@ func Build(top topology.Topology, opts Options) (*Network, error) {
 		opts.Header = HeaderEmbedded
 	}
 
-	// Location-health policy: the default whenever faults are injected
-	// (degraded input gets degraded-mode consumption), off otherwise.
-	var health comap.HealthPolicy
-	if opts.Faults != nil || opts.RPCFaults != nil {
-		health = comap.DefaultHealthPolicy()
-	}
+	gated := healthGated(opts)
 
 	eng := sim.New(opts.Seed)
 	var ledger *audit.Ledger
@@ -476,7 +467,6 @@ func Build(top topology.Topology, opts Options) (*Network, error) {
 		Stations:      make(map[frame.NodeID]*Station, len(top.Nodes)),
 		MediumMetrics: metrics.NewRegistry(),
 		Prof:          profiler,
-		health:        health,
 		providers:     make(map[frame.NodeID]*providerRef, len(top.Nodes)),
 	}
 	medium.SetMetrics(n.MediumMetrics)
@@ -499,25 +489,29 @@ func Build(top topology.Topology, opts Options) (*Network, error) {
 	// registry's commit hooks stream every fix — including the initial
 	// positions — into the service's WAL.
 	if opts.ComapRemote {
-		judge := comap.Judge{Model: opts.ComapModel, Rates: opts.PHY.Rates, Health: health, Now: eng.Now}
+		judge := comap.Judge{Model: opts.ComapModel, Rates: opts.PHY.Rates}
+		if gated {
+			judge.Now = eng.Now
+		}
 		svc := mapsvc.NewService(mapsvc.ServiceConfig{
 			Judge: judge,
 			Store: mapsvc.NewMemStore(),
 			Now:   eng.Now,
 		})
 		n.mapTransport = mapsvc.NewSimTransport(eng, svc)
-		ccfg := mapsvc.DefaultClientConfig()
-		ccfg.Now = eng.Now
-		ccfg.After = func(d time.Duration, fn func()) func() {
-			h := eng.AfterTagged(d, sim.TagFaults, sim.NoOwner, fn)
-			return func() { eng.Cancel(h) }
+		ccfg := mapsvc.ClientConfig{
+			Now: eng.Now,
+			After: func(d time.Duration, fn func()) func() {
+				h := eng.AfterTagged(d, sim.TagFaults, sim.NoOwner, fn)
+				return func() { eng.Cancel(h) }
+			},
 		}
 		if opts.RPCFaults != nil {
 			// The backoff-jitter stream exists only on fault-enabled runs, so
 			// a zero-fault remote run adds no stream to the audit digests.
 			ccfg.Jitter = eng.RNG("mapsvc.client")
 		}
-		client := mapsvc.NewClient(n.mapTransport, ccfg, 0)
+		client := mapsvc.NewClient(n.mapTransport, ccfg)
 		client.SetJudge(judge)
 		client.SetFixes(func(id frame.NodeID) (loc.Fix, bool) { return n.Locs.Fix(id) })
 		client.SetTrace(trace.NewEmitter(eng, frame.Broadcast, opts.Trace))
@@ -553,7 +547,7 @@ func Build(top topology.Topology, opts Options) (*Network, error) {
 	for _, node := range top.Nodes {
 		n.Locs.Register(node.ID, node.Pos)
 	}
-	if health.Enabled() {
+	if gated {
 		// Keepalive re-reports bound every fix's age while the pipeline is
 		// healthy, so the health gate only trips during genuine loss, delay
 		// or outage windows.
@@ -585,8 +579,8 @@ func Build(top topology.Topology, opts Options) (*Network, error) {
 			n.providers[node.ID] = provider
 			agent := comap.NewAgent(node.ID, opts.ComapModel, provider)
 			agent.SetRates(opts.PHY.Rates)
-			if health.Enabled() {
-				agent.SetHealth(health, eng.Now)
+			if gated {
+				agent.SetHealth(eng.Now)
 			}
 			agent.SetMetrics(st.Metrics)
 			agent.SetTrace(trace.NewEmitter(eng, node.ID, opts.Trace))
@@ -658,19 +652,18 @@ func Build(top topology.Topology, opts Options) (*Network, error) {
 				apOf[f.Src] = f.Dst
 			}
 		}
-		cfg := locx.Config{ErrorRadiusMeters: opts.PositionErrorMeters}
 		for _, node := range top.Nodes {
 			id := node.ID
 			st := n.Stations[id]
 			measure := func() (geom.Point, bool) { return n.Locs.Position(id) }
 			if st.Node.IsAP {
-				st.Locx = locx.NewAP(eng, st.MAC, measure, cfg)
+				st.Locx = locx.NewAP(eng, st.MAC, measure, opts.PositionErrorMeters)
 			} else {
 				ap, ok := apOf[id]
 				if !ok {
 					ap = nearestAP(top, st.Node)
 				}
-				st.Locx = locx.NewClient(eng, st.MAC, ap, measure, cfg)
+				st.Locx = locx.NewClient(eng, st.MAC, ap, measure, opts.PositionErrorMeters)
 			}
 			n.providers[id].p = st.Locx
 			st.Locx.Start()
@@ -762,6 +755,10 @@ func Build(top topology.Topology, opts Options) (*Network, error) {
 
 // maxFaultFlightDumps bounds the number of fault-window flight dumps per run.
 const maxFaultFlightDumps = 8
+
+// healthGated reports whether CO-MAP's location-health gate is on: whenever
+// faults are injected (degraded input gets degraded-mode consumption).
+func healthGated(opts Options) bool { return opts.Faults != nil || opts.RPCFaults != nil }
 
 // locHeartbeatInterval is the location service's keepalive period when the
 // health model is active (see loc.Registry.StartHeartbeat).

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/comap"
 	"repro/internal/faults"
 	"repro/internal/frame"
 	"repro/internal/mapsvc"
@@ -174,7 +175,7 @@ type ControlPlaneStatus struct {
 	Service mapsvc.ServiceStatus `json:"service"`
 }
 
-// HealthPolicyStatus is the JSON rendering of comap.HealthPolicy.
+// HealthPolicyStatus is the JSON rendering of CO-MAP's location-health gate.
 type HealthPolicyStatus struct {
 	MaxFixAgeSec            float64 `json:"max_fix_age_sec"`
 	StalenessMarginDBPerSec float64 `json:"staleness_margin_db_per_sec"`
@@ -198,11 +199,11 @@ func (n *Network) HealthStatus() HealthStatus {
 			h.Status = "degraded"
 		}
 	}
-	if hp := n.health; hp.Enabled() {
+	if healthGated(n.Opts) {
 		h.HealthPolicy = &HealthPolicyStatus{
-			MaxFixAgeSec:            hp.MaxFixAge.Seconds(),
-			StalenessMarginDBPerSec: hp.StalenessMarginDBPerSec,
-			UseErrorRadius:          hp.UseErrorRadius,
+			MaxFixAgeSec:            comap.MaxFixAge.Seconds(),
+			StalenessMarginDBPerSec: comap.StalenessMarginDBPerSec,
+			UseErrorRadius:          true, // a gated Judge always evaluates worst-case geometry
 		}
 	}
 	// Station registries hand out atomic counters; summing them live is

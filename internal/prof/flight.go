@@ -115,10 +115,9 @@ type FlightDump struct {
 }
 
 // DumpTo writes the ring's contents as JSON into dir (created if needed)
-// and returns the file path. The file name carries the run id (when given),
-// the reason and the total-record count, so successive dumps of one run —
-// and same-reason dumps of different runs sharing a directory — never
-// collide.
+// and returns the file path. The file name carries the run id, the reason
+// and the total-record count, so successive dumps of one run — and
+// same-reason dumps of different runs sharing a directory — never collide.
 func (f *Flight) DumpTo(dir, runID, reason string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("prof: flight dump dir: %w", err)
@@ -128,10 +127,7 @@ func (f *Flight) DumpTo(dir, runID, reason string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	name := fmt.Sprintf("flight-%s-%d.json", sanitizeReason(reason), d.Total)
-	if runID != "" {
-		name = fmt.Sprintf("flight-%s-%s-%d.json", sanitizeReason(runID), sanitizeReason(reason), d.Total)
-	}
+	name := fmt.Sprintf("flight-%s-%s-%d.json", sanitizeReason(runID), sanitizeReason(reason), d.Total)
 	path := filepath.Join(dir, name)
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return "", fmt.Errorf("prof: flight dump: %w", err)
@@ -146,7 +142,7 @@ func (p *Profiler) DumpFlight(reason string) (string, error) {
 	if p == nil || p.flight == nil {
 		return "", nil
 	}
-	return p.flight.DumpTo(p.cfg.Dir, p.cfg.RunID, reason)
+	return p.flight.DumpTo(p.cfg.Dir, p.runID, reason)
 }
 
 // sanitizeReason keeps dump file names portable.

@@ -36,15 +36,9 @@ type Config struct {
 	FlightEvents int
 	// Dir is where flight dumps land (default "results/profiles").
 	Dir string
-	// RunID namespaces this profiler's flight-dump filenames
-	// (flight-<runid>-<reason>-<total>.json). Several runs in one process —
-	// a comap-experiments grid — can dump the same reason and total into
-	// one directory, which used to overwrite silently; a per-run id keeps
-	// the files apart. Empty defaults to a process-unique "runN".
-	RunID string
 }
 
-// runSeq numbers profilers process-wide for the RunID default.
+// runSeq numbers profilers process-wide for their run ids.
 var runSeq atomic.Uint64
 
 func (c *Config) applyDefaults() {
@@ -56,9 +50,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Dir == "" {
 		c.Dir = "results/profiles"
-	}
-	if c.RunID == "" {
-		c.RunID = fmt.Sprintf("run%d", runSeq.Add(1))
 	}
 }
 
@@ -74,12 +65,18 @@ type Profiler struct {
 	sinceSample int
 	lastSample  time.Time
 	flight      *Flight
+	// runID namespaces this profiler's flight-dump filenames
+	// (flight-<runid>-<reason>-<total>.json) with a process-unique "runN".
+	// Several runs in one process — a comap-experiments grid — can dump the
+	// same reason and total into one directory; a per-run id keeps the
+	// files from overwriting each other.
+	runID string
 }
 
 // New returns a profiler ready to be installed with sim.Engine.SetObserver.
 func New(cfg Config) *Profiler {
 	cfg.applyDefaults()
-	p := &Profiler{cfg: cfg, lastSample: time.Now()}
+	p := &Profiler{cfg: cfg, lastSample: time.Now(), runID: fmt.Sprintf("run%d", runSeq.Add(1))}
 	if cfg.FlightEvents > 0 {
 		p.flight = NewFlight(cfg.FlightEvents)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -160,12 +161,12 @@ func TestDumpToWritesJSON(t *testing.T) {
 	f := NewFlight(16)
 	f.Record(3*time.Millisecond, sim.TagMAC, 2)
 	f.Record(4*time.Millisecond, sim.TagFaults, sim.NoOwner)
-	path, err := f.DumpTo(filepath.Join(dir, "sub"), "", "fault outage/1")
+	path, err := f.DumpTo(filepath.Join(dir, "sub"), "run7", "fault outage/1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base := filepath.Base(path); base != "flight-fault_outage_1-2.json" {
-		t.Errorf("dump file name = %q (reason must be sanitized, total appended)", base)
+	if base := filepath.Base(path); base != "flight-run7-fault_outage_1-2.json" {
+		t.Errorf("dump file name = %q (run id prefixed, reason sanitized, total appended)", base)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -188,7 +189,7 @@ func TestDumpToWritesJSON(t *testing.T) {
 
 // TestDumpFlightRunIDNamespacing pins the fix for same-process collisions:
 // two profilers dumping the same reason and record count into one directory
-// must produce two files, and an explicit RunID lands in the name.
+// must produce two files, each named by its profiler's process-unique run id.
 func TestDumpFlightRunIDNamespacing(t *testing.T) {
 	dir := t.TempDir()
 	dump := func(cfg Config) string {
@@ -212,9 +213,11 @@ func TestDumpFlightRunIDNamespacing(t *testing.T) {
 			t.Fatalf("dump missing: %v", err)
 		}
 	}
-	c := dump(Config{RunID: "seed 42"})
-	if base := filepath.Base(c); base != "flight-seed_42-fault-outage-1.json" {
-		t.Errorf("explicit RunID dump name = %q (run id must be sanitized into the name)", base)
+	want := regexp.MustCompile(`^flight-run[0-9]+-fault-outage-1\.json$`)
+	for _, p := range []string{a, b} {
+		if !want.MatchString(filepath.Base(p)) {
+			t.Errorf("dump name = %q, want flight-run<N>-fault-outage-1.json", filepath.Base(p))
+		}
 	}
 }
 
