@@ -99,6 +99,10 @@ func NewHTTPHandler(svc *Service, maxPendingIngest int, tracker *slo.Tracker) ht
 		writeHTTPJSON(w, map[string]any{"ingested": len(recs), "epoch": svc.Epoch()})
 	})
 	mux.HandleFunc("/v1/verdict", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			http.Error(w, "GET only", http.StatusMethodNotAllowed)
+			return
+		}
 		key, err := keyFromQuery(r)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)

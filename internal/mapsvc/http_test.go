@@ -230,6 +230,42 @@ func TestHTTPInvalidateAllAcceptsOnlyOne(t *testing.T) {
 	}
 }
 
+// TestHTTPVerdictIsGETOnly pins /v1/verdict to its documented method: any
+// other method answers 405 without reaching the service, as /v1/ingest and
+// /v1/invalidate do for theirs.
+func TestHTTPVerdictIsGETOnly(t *testing.T) {
+	srv, svc, _, _ := newHTTPFixture(t)
+	if err := svc.ApplyCtx(testTopologyRecords(0), CallContext{}); err != nil {
+		t.Fatal(err)
+	}
+	url := srv.URL + "/v1/verdict?obs=3&src=1&dst=2&mydst=4"
+	for _, method := range []string{http.MethodDelete, http.MethodPost, http.MethodPut, http.MethodPatch} {
+		req, err := http.NewRequest(method, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s /v1/verdict: status %d, want 405", method, resp.StatusCode)
+		}
+	}
+	if st := svc.Status(); st.CacheEntries != 0 {
+		t.Fatalf("rejected verdict requests reached the service: %d cache entries", st.CacheEntries)
+	}
+	resp, err := srv.Client().Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/verdict: status %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestHTTPTransportReusesConnAfterVerdictError asserts failing verdict
 // calls leave their keep-alive connection reusable: with the service down,
 // every call gets a 503, and all of them must share one TCP connection.

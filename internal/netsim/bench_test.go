@@ -71,9 +71,11 @@ func BenchmarkSimulatorSecond(b *testing.B) {
 // BenchmarkCityScale runs the mobility and churn city over the sharded
 // channel at 100, 300 and 1000 stations, under DCF and under CO-MAP with
 // verdicts served by the control plane (the repository benchmark's city
-// options), and reports the dispatch rate. With spatial sharding the cost
-// per event tracks the local neighbourhood, so events_per_sec should fall
-// far slower than a dense channel's quadratic growth.
+// options), and reports the dispatch rate and the wall time per data frame
+// a destination MAC received. With spatial sharding the cost per event
+// tracks the local neighbourhood, so events_per_sec should fall far slower
+// than a dense channel's quadratic growth, and ns/delivered_frame should
+// grow far slower than N.
 func BenchmarkCityScale(b *testing.B) {
 	for _, proto := range []struct {
 		name   string
@@ -96,6 +98,7 @@ func BenchmarkCityScale(b *testing.B) {
 				})
 				b.ResetTimer()
 				var eps float64
+				var delivered int64
 				for i := 0; i < b.N; i++ {
 					opts := netsim.CityOptions()
 					opts.Seed = 42
@@ -112,8 +115,14 @@ func BenchmarkCityScale(b *testing.B) {
 					if i == 0 {
 						eps = n.Progress().EventsPerSec
 					}
+					for _, st := range n.Stations {
+						delivered += st.MAC.Stats().Get("rx.data")
+					}
 				}
 				b.ReportMetric(eps, "events_per_sec")
+				if delivered > 0 {
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(delivered), "ns/delivered_frame")
+				}
 			})
 		}
 	}
