@@ -29,15 +29,14 @@ import (
 // a test uses them as the reference for the paper's model, or because a
 // planned invariant needs them. One reason per entry.
 var testOracles = map[string]string{
-	"radio.LogNormal.SampleReceivedDBm":     "one draw of the log-normal shadowing model, whose mean and spread the radio tests check",
-	"radio.CombineDBm":                      "power-sum oracle for the channel's interference tests",
-	"radio.SINRdB":                          "SINR oracle for the channel's capture and collision tests",
-	"radio.HiddenTerminalCSMissProb":        "eq. 4 of the paper, the closed form the model tests check",
-	"radio.LogNormal.CSMissRangeFor":        "inverse of eq. 4, the carrier-sense miss range the model tests check",
-	"channel.Medium.ReceivedPowerSampleDBm": "per-pair received-power sample the static-shadow and fault tests read",
-	"comap.Model.CommunicationRange":        "R_t, the paper's communication range, which the model tests check against the testbed's ~72 m",
-	"sim.Engine.PoolSize":                   "event free-list size the planned pool-leak run invariant reads",
-	"stats.GoodputMeter.Frames":             "delivered-frame count the delivered <= sent run invariant (netsim CheckRunInvariants) compares with tx.data",
+	"radio.LogNormal.SampleReceivedDBm": "one draw of the log-normal shadowing model, whose mean and spread the radio tests check",
+	"radio.CombineDBm":                  "power-sum oracle for the channel's interference tests",
+	"radio.SINRdB":                      "the dB-domain SINR that eqs. 2-3 are stated in, the reference the radio tests check",
+	"radio.HiddenTerminalCSMissProb":    "eq. 4 of the paper, the closed form the model tests check",
+	"radio.LogNormal.CSMissRangeFor":    "inverse of eq. 4, the carrier-sense miss range the model tests check",
+	"comap.Model.CommunicationRange":    "R_t, the paper's communication range, which the model tests check against the testbed's ~72 m",
+	"sim.Engine.PoolSize":               "event free-list size the planned pool-leak run invariant reads",
+	"stats.GoodputMeter.Frames":         "delivered-frame count the delivered <= sent run invariant (netsim CheckRunInvariants) compares with tx.data",
 }
 
 // goPackage is the subset of `go list -json` output the scan reads.

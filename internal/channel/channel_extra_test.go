@@ -40,13 +40,18 @@ func TestCaptureRelocksOntoStrongFrame(t *testing.T) {
 	}
 }
 
-func TestCaptureDisabled(t *testing.T) {
+// TestCaptureNeedsMargin pins the capture margin: a second frame stronger
+// than the locked one, but by less than captureMarginDB, cannot steal the
+// radio. It only corrupts the locked frame, which is delivered failed.
+func TestCaptureNeedsMargin(t *testing.T) {
 	eng, m := newTestMedium(t, 1)
-	m.CaptureMarginDB = -1 // disable capture entirely
 	rx := &recorder{}
-	far := m.AddNode(1, geom.Pt(40, 0), 0, &recorder{})
-	near := m.AddNode(3, geom.Pt(5, 0), 0, &recorder{})
+	far := m.AddNode(1, geom.Pt(20, 0), 0, &recorder{})
+	near := m.AddNode(3, geom.Pt(12, 0), 0, &recorder{})
 	m.AddNode(2, geom.Pt(0, 0), 0, rx)
+	if gap := m.model.MeanReceivedDBm(0, 12) - m.model.MeanReceivedDBm(0, 20); gap <= 0 || gap >= captureMarginDB {
+		t.Fatalf("near frame is %v dB stronger; the test needs 0 < gap < %v", gap, captureMarginDB)
+	}
 
 	_ = far.Transmit(frame.Frame{Kind: frame.Data, Src: 1, Dst: 2, PayloadBytes: 800},
 		phy.RateDSSS1, 4*time.Millisecond)
@@ -60,7 +65,7 @@ func TestCaptureDisabled(t *testing.T) {
 		t.Fatalf("frames = %+v", rx.frames)
 	}
 	if rx.frames[0].f.Src != 1 || rx.frames[0].ok {
-		t.Errorf("no-capture delivered %+v", rx.frames[0])
+		t.Errorf("below-margin arrival delivered %+v", rx.frames[0])
 	}
 }
 
@@ -119,53 +124,92 @@ func TestHeaderIndicationSkipsCorruptedLocks(t *testing.T) {
 	}
 }
 
-func TestStaticShadowFractionZeroMatchesPureFading(t *testing.T) {
+// framePowerDBm puts one short frame from a on the air, reads its received
+// power at b (-Inf when b cannot hear it) and lets the frame end.
+func framePowerDBm(t *testing.T, eng *sim.Engine, a, b *Transceiver) float64 {
+	t.Helper()
+	if err := a.Transmit(frame.Frame{Kind: frame.Data, Src: a.ID(), Dst: b.ID()}, phy.RateDSSS1, time.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	p := math.Inf(-1)
+	for _, e := range b.air {
+		if e.tx.from == a {
+			p = e.dBm
+		}
+	}
+	eng.Run()
+	return p
+}
+
+// TestStaticShadowFractionSplitsSigma pins the production split of the
+// shadowing variance, 70% static and 30% per-frame fading, whose deviations
+// add up to exactly σ, and checks that the fading share redraws every frame.
+func TestStaticShadowFractionSplitsSigma(t *testing.T) {
+	if got := staticScale * staticScale; math.Abs(got-0.7) > 1e-15 {
+		t.Errorf("static variance share = %v, want 0.7", got)
+	}
+	if got := staticScale*staticScale + fadeScale*fadeScale; math.Abs(got-1) > 1e-15 {
+		t.Errorf("static + fading variance shares = %v, want 1", got)
+	}
 	eng := sim.New(3)
 	m := NewMedium(eng, radio.NewLogNormal2400(2.9, 4), -95)
-	m.StaticShadowFraction = 0
 	a := m.AddNode(1, geom.Pt(0, 0), 0, &recorder{})
 	b := m.AddNode(2, geom.Pt(30, 0), 0, &recorder{})
-	// With no static component, repeated samples vary frame to frame.
 	seen := make(map[float64]bool)
 	for i := 0; i < 10; i++ {
-		seen[m.ReceivedPowerSampleDBm(a, b)] = true
+		seen[framePowerDBm(t, eng, a, b)] = true
 	}
 	if len(seen) < 9 {
 		t.Errorf("samples not varying: %d distinct of 10", len(seen))
 	}
 }
 
+// TestStaticShadowFullyFrozen checks that a pair's static shadow is a
+// property of the pair alone: the same in both directions (reciprocity),
+// after the pair moves apart and back, and after other stations join.
 func TestStaticShadowFullyFrozen(t *testing.T) {
 	eng := sim.New(4)
 	m := NewMedium(eng, radio.NewLogNormal2400(2.9, 4), -95)
-	m.StaticShadowFraction = 1
 	a := m.AddNode(1, geom.Pt(0, 0), 0, &recorder{})
 	b := m.AddNode(2, geom.Pt(30, 0), 0, &recorder{})
-	first := m.ReceivedPowerSampleDBm(a, b)
-	for i := 0; i < 5; i++ {
-		if got := m.ReceivedPowerSampleDBm(a, b); got != first {
-			t.Fatalf("fully static shadowing varied: %v vs %v", got, first)
-		}
+	m.rebuildGeometry()
+	static := func(s, r *Transceiver) float64 {
+		k := searchEntry(s.nbs, r.ID())
+		return s.nbs[k].baseDBm - m.model.MeanReceivedDBm(s.txPower, s.Position().DistanceTo(r.Position()))
 	}
-	// Reciprocity: the static component is symmetric, and with f=1 the whole
-	// sample is.
-	if got := m.ReceivedPowerSampleDBm(b, a); got != first {
+	first := static(a, b)
+	if first == 0 {
+		t.Fatal("no static shadow drawn")
+	}
+	if got := static(b, a); got != first {
 		t.Errorf("asymmetric static shadowing: %v vs %v", got, first)
+	}
+	b.SetPosition(geom.Pt(300, 0))
+	b.SetPosition(geom.Pt(30, 0))
+	for i := 0; i < 5; i++ {
+		m.AddNode(frame.NodeID(10+i), geom.Pt(float64(10*i), 5), 0, &recorder{})
+	}
+	m.rebuildGeometry()
+	if got := static(a, b); got != first {
+		t.Errorf("static shadow changed from %v to %v", first, got)
 	}
 }
 
+// TestStaticShadowStatistics checks the composite per-frame deviation
+// across pairs: mean 0 and spread σ (here 4 dB).
 func TestStaticShadowStatistics(t *testing.T) {
-	// Whatever the split, the composite per-frame deviation must equal the
-	// model's sigma (here 4 dB) across pairs.
 	eng := sim.New(5)
 	m := NewMedium(eng, radio.NewLogNormal2400(2.9, 4), -95)
 	mean := m.model.MeanReceivedDBm(0, 30)
-	var sum, sum2 float64
 	const pairs = 400
+	var nodes []*Transceiver
 	for i := 0; i < pairs; i++ {
-		a := m.AddNode(frame.NodeID(2*i+1), geom.Pt(0, 0), 0, nil)
-		b := m.AddNode(frame.NodeID(2*i+2), geom.Pt(30, 0), 0, nil)
-		v := m.ReceivedPowerSampleDBm(a, b) - mean
+		nodes = append(nodes, m.AddNode(frame.NodeID(2*i+1), geom.Pt(0, 0), 0, nil),
+			m.AddNode(frame.NodeID(2*i+2), geom.Pt(30, 0), 0, nil))
+	}
+	var sum, sum2 float64
+	for i := 0; i < pairs; i++ {
+		v := framePowerDBm(t, eng, nodes[2*i], nodes[2*i+1]) - mean
 		sum += v
 		sum2 += v * v
 	}
@@ -180,12 +224,12 @@ func TestStaticShadowStatistics(t *testing.T) {
 }
 
 func TestSetTxPower(t *testing.T) {
-	_, m := newTestMedium(t, 1)
+	eng, m := newTestMedium(t, 1)
 	a := m.AddNode(1, geom.Pt(0, 0), 0, &recorder{})
 	b := m.AddNode(2, geom.Pt(10, 0), 10, &recorder{})
 	c := m.AddNode(3, geom.Pt(10, 0), 0, &recorder{})
-	low := m.ReceivedPowerSampleDBm(c, a)
-	high := m.ReceivedPowerSampleDBm(b, a)
+	low := framePowerDBm(t, eng, c, a)
+	high := framePowerDBm(t, eng, b, a)
 	if math.Abs((high-low)-10) > 1e-9 {
 		t.Errorf("power change = %v, want +10 dB", high-low)
 	}

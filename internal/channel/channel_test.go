@@ -140,38 +140,43 @@ func TestBelowSensitivityEnergyReportedWithoutPruning(t *testing.T) {
 	}
 }
 
-// TestPruningKeepsDrawOrder runs the same shadowed scenario twice — once
-// with the default audibility margin (which prunes a node 50 km away) and
-// once with pruning disabled — and requires every PHY indication at the
-// near nodes to be bit-identical. This is the "keep the draw, skip the
-// work" contract: pruning must not shift the shared fading stream.
+// TestPruningKeepsDrawOrder runs the same shadowed scenario three times —
+// with the default audibility margin (which prunes a node 50 km away), with
+// pruning disabled, and with an extra bystander in range that only listens
+// — and requires every PHY indication at the near nodes to be bit-identical.
+// Draws are keyed by pair and frame counter, so no pair's draw may depend
+// on which other pairs exist, were pruned, or drew first.
 func TestPruningKeepsDrawOrder(t *testing.T) {
-	run := func(margin float64) (near []*recorder, far *recorder) {
+	run := func(margin float64, bystander bool) (near []*recorder, far *recorder) {
 		eng := sim.New(42)
 		m := NewMedium(eng, radio.NewLogNormal2400(2.9, 4), -95)
 		m.AudibilityMarginDB = margin
 		near = []*recorder{{}, {}, {}}
 		a := m.AddNode(1, geom.Pt(0, 0), 15, near[0])
-		b := m.AddNode(2, geom.Pt(30, 0), 15, near[1])
-		m.AddNode(3, geom.Pt(60, 0), 15, near[2])
+		b := m.AddNode(4, geom.Pt(30, 0), 15, near[1])
+		m.AddNode(5, geom.Pt(60, 0), 15, near[2])
+		if bystander {
+			m.AddNode(2, geom.Pt(20, 20), 15, &recorder{})
+		}
 		far = &recorder{}
 		m.AddNode(9, geom.Pt(50000, 0), 15, far)
 
 		eng.Schedule(0, func() {
-			_ = a.Transmit(frame.Frame{Kind: frame.Data, Src: 1, Dst: 2, PayloadBytes: 500}, phy.RateDSSS1, time.Millisecond)
+			_ = a.Transmit(frame.Frame{Kind: frame.Data, Src: 1, Dst: 4, PayloadBytes: 500}, phy.RateDSSS1, time.Millisecond)
 		})
 		eng.Schedule(500*time.Microsecond, func() {
-			_ = b.Transmit(frame.Frame{Kind: frame.Data, Src: 2, Dst: 3, PayloadBytes: 500}, phy.RateDSSS1, time.Millisecond)
+			_ = b.Transmit(frame.Frame{Kind: frame.Data, Src: 4, Dst: 5, PayloadBytes: 500}, phy.RateDSSS1, time.Millisecond)
 		})
 		eng.Schedule(3*time.Millisecond, func() {
-			_ = a.Transmit(frame.Frame{Kind: frame.Data, Src: 1, Dst: 3, PayloadBytes: 200}, phy.RateDSSS1, time.Millisecond)
+			_ = a.Transmit(frame.Frame{Kind: frame.Data, Src: 1, Dst: 5, PayloadBytes: 200}, phy.RateDSSS1, time.Millisecond)
 		})
 		eng.Run()
 		return near, far
 	}
 
-	nearPruned, farPruned := run(DefaultAudibilityMarginDB)
-	nearFull, farFull := run(math.Inf(1))
+	nearPruned, farPruned := run(DefaultAudibilityMarginDB, false)
+	nearFull, farFull := run(math.Inf(1), false)
+	nearBystander, _ := run(DefaultAudibilityMarginDB, true)
 
 	if len(farPruned.energies) != 0 {
 		t.Errorf("far node got %d energy callbacks with pruning, want 0", len(farPruned.energies))
@@ -179,20 +184,25 @@ func TestPruningKeepsDrawOrder(t *testing.T) {
 	if len(farFull.energies) == 0 {
 		t.Error("far node got no energy callbacks with pruning disabled")
 	}
-	for i := range nearPruned {
-		p, f := nearPruned[i], nearFull[i]
-		if len(p.energies) != len(f.energies) || len(p.frames) != len(f.frames) {
-			t.Fatalf("node %d: callback counts diverged: %d/%d energies, %d/%d frames",
-				i+1, len(p.energies), len(f.energies), len(p.frames), len(f.frames))
-		}
-		for j := range p.energies {
-			if p.energies[j] != f.energies[j] {
-				t.Errorf("node %d energy[%d]: %v (pruned) != %v (full)", i+1, j, p.energies[j], f.energies[j])
+	for _, variant := range []struct {
+		name string
+		near []*recorder
+	}{{"unpruned", nearFull}, {"with a bystander", nearBystander}} {
+		for i := range nearPruned {
+			p, f := nearPruned[i], variant.near[i]
+			if len(p.energies) != len(f.energies) || len(p.frames) != len(f.frames) {
+				t.Fatalf("%s: near node %d: callback counts diverged: %d/%d energies, %d/%d frames",
+					variant.name, i, len(p.energies), len(f.energies), len(p.frames), len(f.frames))
 			}
-		}
-		for j := range p.frames {
-			if p.frames[j] != f.frames[j] {
-				t.Errorf("node %d frame[%d]: %+v != %+v", i+1, j, p.frames[j], f.frames[j])
+			for j := range p.energies {
+				if p.energies[j] != f.energies[j] {
+					t.Errorf("%s: near node %d energy[%d]: %v != %v", variant.name, i, j, p.energies[j], f.energies[j])
+				}
+			}
+			for j := range p.frames {
+				if p.frames[j] != f.frames[j] {
+					t.Errorf("%s: near node %d frame[%d]: %+v != %+v", variant.name, i, j, p.frames[j], f.frames[j])
+				}
 			}
 		}
 	}
@@ -472,22 +482,27 @@ func TestMobilityChangesReception(t *testing.T) {
 	}
 }
 
+// TestReceivedPowerSampleDeterministic replays a pair's per-frame received
+// powers: the same seed gives the same samples, another seed other ones.
 func TestReceivedPowerSampleDeterministic(t *testing.T) {
-	run := func() []float64 {
-		eng := sim.New(11)
+	run := func(seed int64) []float64 {
+		eng := sim.New(seed)
 		m := NewMedium(eng, radio.NewLogNormal2400(2.9, 4), -95)
 		a := m.AddNode(1, geom.Pt(0, 0), 0, &recorder{})
 		b := m.AddNode(2, geom.Pt(25, 0), 0, &recorder{})
 		var out []float64
 		for i := 0; i < 5; i++ {
-			out = append(out, m.ReceivedPowerSampleDBm(a, b))
+			out = append(out, framePowerDBm(t, eng, a, b))
 		}
 		return out
 	}
-	x, y := run(), run()
+	x, y, z := run(11), run(11), run(12)
 	for i := range x {
 		if x[i] != y[i] {
 			t.Fatalf("samples diverge at %d", i)
+		}
+		if x[i] == z[i] {
+			t.Fatalf("seeds 11 and 12 both sample %v at %d", x[i], i)
 		}
 	}
 }

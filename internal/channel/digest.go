@@ -1,16 +1,14 @@
 package channel
 
 import (
-	"sort"
-
 	"repro/internal/audit"
 	"repro/internal/frame"
 )
 
 // DigestState folds the medium's causal state into an audit deep digest:
 // environment knobs, every transceiver's radio state (position, power,
-// transmit/lock status) in dense-index order, in-flight transmissions in
-// active order, and the frozen static-shadow table in sorted pair order.
+// transmit/lock status, and its frame counter — the shadowing generator's
+// cursor) in dense-index order, and in-flight transmissions in active order.
 // Read-only; called at ledger deep-digest slices on the sim goroutine.
 func (m *Medium) DigestState(h *audit.Hasher) {
 	h.Float64(m.noise)
@@ -21,6 +19,7 @@ func (m *Medium) DigestState(h *audit.Hasher) {
 		h.Float64(t.pos.X)
 		h.Float64(t.pos.Y)
 		h.Float64(t.txPower)
+		h.Uint64(t.frames)
 		h.Bool(t.sending != nil)
 		if t.sending != nil {
 			digestFrame(h, t.sending.f)
@@ -37,25 +36,6 @@ func (m *Medium) DigestState(h *audit.Hasher) {
 		h.Int(int(tx.from.id))
 		digestFrame(h, tx.f)
 		h.Float64(tx.rate.BitsPerSec)
-	}
-	// Static shadowing is frozen per topology instance; a run that redrew
-	// it (geometry rebuild after churn) digests differently from one that
-	// kept the old table.
-	pairs := make([]pairKey, 0, len(m.staticShadow))
-	for k := range m.staticShadow {
-		pairs = append(pairs, k)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].lo != pairs[j].lo {
-			return pairs[i].lo < pairs[j].lo
-		}
-		return pairs[i].hi < pairs[j].hi
-	})
-	h.Int(len(pairs))
-	for _, k := range pairs {
-		h.Int(int(k.lo))
-		h.Int(int(k.hi))
-		h.Float64(m.staticShadow[k])
 	}
 }
 

@@ -200,14 +200,15 @@ func TestIncrementalMatchesFullRebuild(t *testing.T) {
 }
 
 // TestGridPrunesStaticDraws verifies the sharding actually prunes: distant
-// cells never become neighbor candidates, so far pairs draw no static shadow
-// stream, while the dense medium draws one per pair.
+// cells never become neighbor candidates, so far pairs get no entry and
+// compute no static shadow, while the dense medium keeps an entry per
+// directed pair.
 func TestGridPrunesStaticDraws(t *testing.T) {
 	grid, err := topology.NewGrid(geom.Pt(0, 0), 8000, 3) // 1 km cells
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(g *topology.Grid) *Medium {
+	build := func(g *topology.Grid) (*Medium, int) {
 		eng := sim.New(5)
 		m := NewMedium(eng, radio.NewLogNormal2400(4.0, 2.0), -95)
 		if g != nil {
@@ -219,18 +220,20 @@ func TestGridPrunesStaticDraws(t *testing.T) {
 		m.AddNode(3, geom.Pt(7900, 7900), 20, &recorder{})
 		m.AddNode(4, geom.Pt(7870, 7880), 20, &recorder{})
 		m.rebuildGeometry()
-		return m
+		entries := 0
+		for _, n := range m.Nodes() {
+			entries += len(n.nbs)
+		}
+		return m, entries
 	}
-	dense := build(nil)
-	if got := len(dense.staticShadow); got != 6 {
-		t.Fatalf("dense medium drew %d static shadows, want all 6 pairs", got)
+	if _, got := build(nil); got != 12 {
+		t.Fatalf("dense medium holds %d pair entries, want all 12 directed pairs", got)
 	}
-	sharded := build(grid)
-	if got := len(sharded.staticShadow); got != 2 {
-		t.Fatalf("sharded medium drew %d static shadows, want 2 (one per near pair)", got)
+	sharded, got := build(grid)
+	if got != 4 {
+		t.Fatalf("sharded medium holds %d pair entries, want 4 (both directions of each near pair)", got)
 	}
-	// Cross-cluster transmissions still draw the per-node fading stream but
-	// deliver nothing.
+	// Cross-cluster transmissions reach nobody.
 	a := sharded.Node(1)
 	if aud := sharded.audibleOf(a); len(aud) != 1 || aud[0].ID() != 2 {
 		t.Fatalf("node 1 audibility list = %v, want just node 2", aud)

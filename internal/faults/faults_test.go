@@ -10,6 +10,7 @@ import (
 	"repro/internal/frame"
 	"repro/internal/geom"
 	"repro/internal/loc"
+	"repro/internal/phy"
 	"repro/internal/radio"
 	"repro/internal/sim"
 )
@@ -219,23 +220,39 @@ func TestChurnDrivesController(t *testing.T) {
 	}
 }
 
+// energyLog records the received power of every frame a node hears.
+type energyLog struct{ dBm []float64 }
+
+func (l *energyLog) EnergyChanged(agg float64) {
+	if !math.IsInf(agg, -1) {
+		l.dBm = append(l.dBm, agg)
+	}
+}
+func (l *energyLog) FrameReceived(frame.Frame, bool, float64) {}
+func (l *energyLog) TransmitDone(frame.Frame)                 {}
+
 func TestFadeAndNoiseWindows(t *testing.T) {
 	eng := sim.New(7)
-	med := channel.NewMedium(eng, radio.NewLogNormal2400(2.9, 0), -96)
+	model := radio.NewLogNormal2400(2.9, 0)
+	med := channel.NewMedium(eng, model, -96)
 	spec, _ := Parse("fade:at=1s,dur=1s,db=10; noise:at=3s,dur=1s,db=15")
 	NewInjector(eng, spec, Targets{Medium: med}).Start()
 	// With no shadowing, a link's received power drops by exactly the
 	// injected fade.
 	a := med.AddNode(1, geom.Pt(0, 0), 0, nil)
-	b := med.AddNode(2, geom.Pt(10, 0), 0, nil)
-	clean := med.ReceivedPowerSampleDBm(a, b)
+	rx := &energyLog{}
+	med.AddNode(2, geom.Pt(10, 0), 0, rx)
+	clean := model.MeanReceivedDBm(0, 10)
 	type sample struct{ fade, noise float64 }
 	samples := map[time.Duration]*sample{}
 	for _, at := range []time.Duration{500, 1500, 2500, 3500, 4500} {
 		at := at * time.Millisecond
 		samples[at] = &sample{}
 		eng.After(at, func() {
-			*samples[at] = sample{math.Round(clean - med.ReceivedPowerSampleDBm(a, b)), med.NoiseFloorDBm()}
+			if err := a.Transmit(frame.Frame{Kind: frame.Data, Src: 1, Dst: 2}, phy.RateDSSS1, time.Microsecond); err != nil {
+				t.Fatal(err)
+			}
+			*samples[at] = sample{math.Round(clean - rx.dBm[len(rx.dBm)-1]), med.NoiseFloorDBm()}
 		})
 	}
 	eng.Run()

@@ -426,7 +426,7 @@ func Build(top topology.Topology, opts Options) (*Network, error) {
 	var ledger *audit.Ledger
 	if opts.Audit != nil {
 		// RNG accounting must be armed before the first stream is created
-		// (the medium draws "channel.shadowing" a few lines down), so every
+		// (the location registry's "loc" stream, below, is the first), so every
 		// stream's cursor lands in the deep digests.
 		eng.EnableRNGAccounting()
 		ledger = audit.NewLedger(opts.Audit.Config, ManifestFor(opts.Audit.Scenario, top, opts))

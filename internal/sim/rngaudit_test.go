@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"hash/fnv"
-	"math/rand"
-	"strconv"
 	"testing"
 	"time"
 )
@@ -41,42 +38,6 @@ func TestRNGAccountingPreservesStreams(t *testing.T) {
 	cursors := counted.RNGCursors()
 	if cursors["stream"] == 0 {
 		t.Fatal("accounted stream recorded no draws")
-	}
-}
-
-// TestTransientRNGMatchesRNG pins the reseeded one-draw stream to the named
-// stream contract: seed XOR the name's hash/fnv FNV-1a hash, identical draws
-// to RNG's, nothing allocated on the unaudited path, and the counted RNG
-// stream (cursor included) when accounting is on.
-func TestTransientRNGMatchesRNG(t *testing.T) {
-	e := New(42)
-	var buf [32]byte
-	for i := 0; i < 50; i++ {
-		name := strconv.AppendInt(append(buf[:0], "pair."...), int64(i), 10)
-		h := fnv.New64a()
-		h.Write(name)
-		ref := rand.New(rand.NewSource(42 ^ int64(h.Sum64())))
-		named := e.RNG(string(name))
-		transient := e.TransientRNG(name)
-		for k := 0; k < 3; k++ {
-			want := ref.NormFloat64()
-			if a, b := named.NormFloat64(), transient.NormFloat64(); a != want || b != want {
-				t.Fatalf("%s draw %d: RNG %v, TransientRNG %v, want %v", name, k, a, b, want)
-			}
-		}
-	}
-	name := []byte("channel.static.3.17")
-	if n := testing.AllocsPerRun(100, func() { e.TransientRNG(name).NormFloat64() }); n != 0 {
-		t.Errorf("TransientRNG draw allocates %v times, want 0", n)
-	}
-
-	counted := New(42)
-	counted.EnableRNGAccounting()
-	if a, b := counted.TransientRNG(name).NormFloat64(), e.RNG(string(name)).NormFloat64(); a != b {
-		t.Fatalf("accounted TransientRNG draws %v, want %v", a, b)
-	}
-	if counted.RNGCursors()[string(name)] == 0 {
-		t.Fatal("accounted TransientRNG recorded no draws")
 	}
 }
 

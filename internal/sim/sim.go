@@ -83,14 +83,16 @@ type Engine struct {
 	// Per-stream RNG draw counters for the audit plane (rngaudit.go);
 	// nil unless EnableRNGAccounting was called before stream creation.
 	rngCounts map[string]*uint64
-	// transient is the one stream TransientRNG reseeds in place.
-	transient *rand.Rand
 }
 
 // New returns an engine with its clock at zero, seeded with seed.
 func New(seed int64) *Engine {
-	return &Engine{seed: seed, curOwner: NoOwner, transient: rand.New(rand.NewSource(0))}
+	return &Engine{seed: seed, curOwner: NoOwner}
 }
+
+// Seed returns the seed the engine was created with, for consumers that key
+// their own counter-based draws with it instead of holding a stream.
+func (e *Engine) Seed() int64 { return e.seed }
 
 // Now returns the current virtual time. Safe for concurrent readers.
 func (e *Engine) Now() time.Duration { return time.Duration(e.now.Load()) }
@@ -213,18 +215,6 @@ func (e *Engine) RNG(name string) *rand.Rand {
 		src = wrapCounting(src, n)
 	}
 	return rand.New(src)
-}
-
-// TransientRNG returns the stream RNG(string(name)) would, valid until the
-// next call, for a caller that takes a few draws. Unaudited, it reseeds one
-// source in place (rand.NewSource runs the same Seed on a fresh one): same
-// draws, no allocation. With RNG accounting on it is RNG's counted stream.
-func (e *Engine) TransientRNG(name []byte) *rand.Rand {
-	if e.rngCounts != nil {
-		return e.RNG(string(name))
-	}
-	e.transient.Seed(e.streamSeed(name))
-	return e.transient
 }
 
 // streamSeed derives a named stream's seed: the engine seed XOR the name's

@@ -255,7 +255,7 @@ func TestManyEventsStress(t *testing.T) {
 }
 
 func TestSeedAccessor(t *testing.T) {
-	if New(42).seed != 42 {
+	if New(42).Seed() != 42 {
 		t.Error("Seed accessor")
 	}
 }
