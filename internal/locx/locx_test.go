@@ -175,3 +175,53 @@ func TestMeasureFailureTolerated(t *testing.T) {
 		t.Error("client without a position fix must not beacon")
 	}
 }
+
+// TestClientsBridgeCells places two cells in a row, AP1 C1 C2 AP2 at 25 m
+// spacing: the APs are too far apart to decode each other, so each learns
+// the other only through the clients' forwards. Once both sides of every
+// bridge have carried every position, the clients fall back to their
+// refresh reports.
+func TestClientsBridgeCells(t *testing.T) {
+	eng := sim.New(1)
+	medium := channel.NewMedium(eng, radio.NewLogNormal2400(2.9, 0), -95)
+	cfg := mac.Config{PHY: phy.DSSS(), CCAThresholdDBm: -81, FixedCW: 8}
+	positions := map[frame.NodeID]geom.Point{
+		101: geom.Pt(0, 0),
+		1:   geom.Pt(25, 0),
+		2:   geom.Pt(50, 0),
+		102: geom.Pt(75, 0),
+	}
+	apOf := map[frame.NodeID]frame.NodeID{1: 101, 2: 102}
+	nodes := make(map[frame.NodeID]*Node)
+	for _, id := range []frame.NodeID{1, 2, 101, 102} {
+		tr := medium.AddNode(id, positions[id], 0, nil)
+		m := mac.New(eng, tr, cfg)
+		tr.SetListener(m)
+		pos := positions[id]
+		measure := func() (geom.Point, bool) { return pos, true }
+		if ap, ok := apOf[id]; ok {
+			nodes[id] = NewClient(eng, m, ap, measure, 0)
+		} else {
+			nodes[id] = NewAP(eng, m, measure, 0)
+		}
+		n := nodes[id]
+		m.SetHooks(mac.Hooks{OnControl: func(f frame.Frame, _ float64) { n.OnBeacon(f) }})
+	}
+	for _, n := range nodes {
+		n.Start()
+	}
+	eng.RunUntil(5 * time.Second)
+	for id, n := range nodes {
+		for peer, want := range positions {
+			if got, ok := n.Position(peer); !ok || got != want {
+				t.Errorf("station %d learned %d at %v ok=%v, want %v", id, peer, got, ok, want)
+			}
+		}
+	}
+	before := nodes[1].BeaconsSent() + nodes[2].BeaconsSent()
+	eng.RunUntil(10 * time.Second)
+	// Refresh reports only: one per client per refreshInterval.
+	if sent := nodes[1].BeaconsSent() + nodes[2].BeaconsSent() - before; sent > 12 {
+		t.Errorf("clients sent %d beacons in the last 5 s, want at most 12", sent)
+	}
+}
