@@ -34,7 +34,8 @@ func TestListNamesAllScenarios(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("list exit code %d", code)
 	}
-	for _, name := range []string{"chh-dcf", "chh-comap", "chh-comap-faulted", "et30-comap"} {
+	for _, name := range []string{"chh-dcf", "chh-comap", "chh-comap-faulted", "et30-comap",
+		"chh-dcf-cbr-churn", "chh-comap-cbr-churn"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("list output missing %s:\n%s", name, out)
 		}
@@ -45,7 +46,8 @@ func TestListNamesAllScenarios(t *testing.T) {
 // through the CLI and expects semantic equality — the same gate CI's
 // ledger-equivalence job applies.
 func TestVerifyGoldenLedgers(t *testing.T) {
-	for _, name := range []string{"chh-dcf", "chh-comap", "chh-comap-faulted", "et30-comap"} {
+	for _, name := range []string{"chh-dcf", "chh-comap", "chh-comap-faulted", "et30-comap",
+		"chh-dcf-cbr-churn", "chh-comap-cbr-churn"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			out, code := runCmd(t, "verify", goldenLedger(name))

@@ -49,6 +49,20 @@ func All() []Scenario {
 	faulted := cm
 	faulted.Faults = spec
 
+	// The CBR+churn pair runs Table I's 3 Mbps CBR streams with the
+	// contender (node 2) away for one window, so the stream scheduler's
+	// credit bucket and its pause/resume paths are pinned too.
+	churn, err := faults.Parse("churn:node=2,at=300ms,dur=300ms")
+	if err != nil {
+		panic(err)
+	}
+	dcfCBR := dcf
+	dcfCBR.CBRBitsPerSec = 3e6
+	dcfCBR.Faults = churn
+	cmCBR := cm
+	cmCBR.CBRBitsPerSec = 3e6
+	cmCBR.Faults = churn
+
 	et := netsim.TestbedOptions()
 	et.Protocol = netsim.ProtocolComap
 	et.Seed = 11
@@ -59,6 +73,8 @@ func All() []Scenario {
 		{Name: "chh-comap", Top: chh, Opts: cm},
 		{Name: "chh-comap-faulted", Top: chh, Opts: faulted},
 		{Name: "et30-comap", Top: topology.ETSweep(30), Opts: et},
+		{Name: "chh-dcf-cbr-churn", Top: chh, Opts: dcfCBR},
+		{Name: "chh-comap-cbr-churn", Top: chh, Opts: cmCBR},
 	}
 }
 
