@@ -37,6 +37,7 @@ var testOracles = map[string]string{
 	"comap.Model.CommunicationRange":    "R_t, the paper's communication range, which the model tests check against the testbed's ~72 m",
 	"sim.Engine.PoolSize":               "event free-list size the planned pool-leak run invariant reads",
 	"stats.GoodputMeter.Frames":         "delivered-frame count the delivered <= sent run invariant (netsim CheckRunInvariants) compares with tx.data",
+	"traffic.Peer.MintedTo":             "frames a flow's streams minted, which the per-flow delivered <= sent run invariant (netsim CheckRunInvariants) compares with its deliveries",
 }
 
 // goPackage is the subset of `go list -json` output the scan reads.

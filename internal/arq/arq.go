@@ -34,7 +34,6 @@ type entry struct {
 	seq      uint16
 	payload  int
 	attempts int
-	sent     bool
 	// firstAt is the virtual time the sequence number was minted; zero
 	// unless the sender is instrumented.
 	firstAt time.Duration
@@ -90,18 +89,33 @@ func (s *Sender) Instrument(reg *metrics.Registry, now func() time.Duration) {
 	s.mDropped = reg.Counter("arq.dropped")
 }
 
-// Next returns the sequence number and payload length of the next frame to
-// transmit. While the window has room it mints a new sequence number with
-// newPayload bytes; once the window is full it returns the oldest
-// unacknowledged frame as a retransmission (retry=true). Frames exceeding
-// the attempt bound are dropped and skipped.
-func (s *Sender) Next(newPayload int) (seq uint16, payload int, retry bool) {
-	if s.CanSendNew() {
-		seq, _ = s.NextNew(newPayload)
-		return seq, newPayload, false
+// Next returns the next frame to transmit. When mint is set and the window
+// has room it mints a new sequence number carrying newPayload bytes.
+// Otherwise it returns the oldest unacknowledged frame as a retransmission
+// (retry=true), rotating the window so successive calls cycle through the
+// holes rather than hammering one frame. Frames exceeding the attempt bound
+// are dropped and skipped. ok is false when there is nothing to send.
+func (s *Sender) Next(newPayload int, mint bool) (seq uint16, payload int, retry, ok bool) {
+	s.dropHopeless()
+	if mint && len(s.inflight) < s.window {
+		e := entry{seq: s.next, payload: newPayload, attempts: 1}
+		if s.now != nil {
+			e.firstAt = s.now()
+		}
+		s.next++
+		s.inflight = append(s.inflight, e)
+		s.mOcc.Observe(float64(len(s.inflight)))
+		return e.seq, newPayload, false, true
 	}
-	seq, payload, _ = s.NextRetransmit()
-	return seq, payload, true
+	if len(s.inflight) == 0 {
+		return 0, 0, false, false
+	}
+	e := s.inflight[0]
+	e.attempts++
+	copy(s.inflight, s.inflight[1:])
+	s.inflight[len(s.inflight)-1] = e
+	s.mOcc.Observe(float64(len(s.inflight)))
+	return e.seq, e.payload, true, true
 }
 
 // dropHopeless abandons frames that exhausted their attempt budget.
@@ -111,44 +125,6 @@ func (s *Sender) dropHopeless() {
 		s.dropped++
 		s.mDropped.Inc()
 	}
-}
-
-// CanSendNew reports whether the send window has room for a new frame.
-func (s *Sender) CanSendNew() bool {
-	s.dropHopeless()
-	return len(s.inflight) < s.window
-}
-
-// NextNew mints a new sequence number carrying newPayload bytes. ok is
-// false when the window is full (nothing is minted).
-func (s *Sender) NextNew(newPayload int) (seq uint16, ok bool) {
-	if !s.CanSendNew() {
-		return 0, false
-	}
-	e := entry{seq: s.next, payload: newPayload, attempts: 1, sent: true}
-	if s.now != nil {
-		e.firstAt = s.now()
-	}
-	s.next++
-	s.inflight = append(s.inflight, e)
-	s.mOcc.Observe(float64(len(s.inflight)))
-	return e.seq, true
-}
-
-// NextRetransmit returns the oldest unacknowledged frame for retransmission,
-// rotating the window so successive calls cycle through the holes rather
-// than hammering one frame. ok is false when nothing is in flight.
-func (s *Sender) NextRetransmit() (seq uint16, payload int, ok bool) {
-	s.dropHopeless()
-	if len(s.inflight) == 0 {
-		return 0, 0, false
-	}
-	e := s.inflight[0]
-	e.attempts++
-	copy(s.inflight, s.inflight[1:])
-	s.inflight[len(s.inflight)-1] = e
-	s.mOcc.Observe(float64(len(s.inflight)))
-	return e.seq, e.payload, true
 }
 
 // OnAck processes an acknowledgement: ackSeq itself plus every bitmap bit i

@@ -128,51 +128,69 @@ func TestFaultedReportBitIdentical(t *testing.T) {
 }
 
 // TestChurnLeaveAndRejoin drives a churn window directly through the
-// injector and checks the three observable transitions: the station is off
-// the network during the window, its flow resumes delivering after re-join,
-// and its peers invalidated their cached verdicts about it (per-node, on
-// both leave and re-join).
+// injector under both protocols and checks the observable transitions: the
+// station is off the network during the window and its flow resumes
+// delivering after re-join. Under CO-MAP its peers also invalidated their
+// cached verdicts about it (per-node, on both leave and re-join); DCF has no
+// verdicts.
 func TestChurnLeaveAndRejoin(t *testing.T) {
-	top := topology.ETSweep(30)
-	opts := TestbedOptions()
-	opts.Protocol = ProtocolComap
-	opts.Seed = 5
-	opts.Duration = 3 * time.Second
-	opts.Faults = mustParse(t, "churn:node=2,at=1s,dur=1s")
+	for _, proto := range []Protocol{ProtocolComap, ProtocolDCF} {
+		proto := proto
+		t.Run(proto.String(), func(t *testing.T) {
+			top := topology.ETSweep(30)
+			opts := TestbedOptions()
+			opts.Protocol = proto
+			opts.Seed = 5
+			opts.Duration = 3 * time.Second
+			opts.Faults = mustParse(t, "churn:node=2,at=1s,dur=1s")
 
-	n, err := Build(top, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var duringWindow, afterWindow bool
-	n.Eng.After(1500*time.Millisecond, func() { duringWindow = n.departed[topology.C2] })
-	n.Eng.After(2500*time.Millisecond, func() { afterWindow = n.departed[topology.C2] })
+			n, err := Build(top, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var duringWindow, afterWindow bool
+			n.Eng.After(1500*time.Millisecond, func() { duringWindow = n.departed[topology.C2] })
+			n.Eng.After(2500*time.Millisecond, func() { afterWindow = n.departed[topology.C2] })
 
-	var bytesAtRejoin int64
-	n.Eng.After(2*time.Second+time.Millisecond, func() {
-		bytesAtRejoin = n.Stations[topology.AP2].deliveredFrom(topology.C2).Bytes()
-	})
+			sink := n.Stations[topology.AP2].Peer
+			var bytesAtLeave, bytesAtRejoin int64
+			n.Eng.After(time.Second+100*time.Millisecond, func() {
+				bytesAtLeave = sink.DeliveredFrom(topology.C2).Bytes()
+			})
+			n.Eng.After(2*time.Second+time.Millisecond, func() {
+				bytesAtRejoin = sink.DeliveredFrom(topology.C2).Bytes()
+			})
 
-	res := n.Run()
-	if !duringWindow {
-		t.Error("station 2 not marked departed inside churn window")
-	}
-	if afterWindow {
-		t.Error("station 2 still departed after churn window closed")
-	}
-	finalBytes := n.Stations[topology.AP2].deliveredFrom(topology.C2).Bytes()
-	if finalBytes <= bytesAtRejoin {
-		t.Errorf("flow 2->AP2 did not resume after re-join: %d bytes at re-join, %d at end",
-			bytesAtRejoin, finalBytes)
-	}
-	if g := res.Goodput(topology.Flow{Src: topology.C2, Dst: topology.AP2}); g <= 0 {
-		t.Errorf("churned flow goodput = %v, want > 0", g)
-	}
-	// Peers invalidate the churned node's verdicts on leave and again on
-	// re-join.
-	inval := n.Stations[topology.C1].Metrics.Counter("comap.map.invalidate").Value()
-	if inval < 2 {
-		t.Errorf("peer C1 recorded %d invalidations, want >= 2 (leave + re-join)", inval)
+			res := n.Run()
+			CheckRunInvariants(t, n)
+			if !duringWindow {
+				t.Error("station 2 not marked departed inside churn window")
+			}
+			if afterWindow {
+				t.Error("station 2 still departed after churn window closed")
+			}
+			if bytesAtRejoin != bytesAtLeave {
+				t.Errorf("flow 2->AP2 kept delivering while away: %d bytes 100 ms into the window, %d at re-join",
+					bytesAtLeave, bytesAtRejoin)
+			}
+			finalBytes := sink.DeliveredFrom(topology.C2).Bytes()
+			if finalBytes <= bytesAtRejoin {
+				t.Errorf("flow 2->AP2 did not resume after re-join: %d bytes at re-join, %d at end",
+					bytesAtRejoin, finalBytes)
+			}
+			if g := res.Goodput(topology.Flow{Src: topology.C2, Dst: topology.AP2}); g <= 0 {
+				t.Errorf("churned flow goodput = %v, want > 0", g)
+			}
+			if proto != ProtocolComap {
+				return
+			}
+			// Peers invalidate the churned node's verdicts on leave and again
+			// on re-join.
+			inval := n.Stations[topology.C1].Metrics.Counter("comap.map.invalidate").Value()
+			if inval < 2 {
+				t.Errorf("peer C1 recorded %d invalidations, want >= 2 (leave + re-join)", inval)
+			}
+		})
 	}
 }
 

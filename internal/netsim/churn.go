@@ -25,12 +25,7 @@ func (n *Network) StationLeave(id frame.NodeID) {
 	}
 	n.departed[id] = true
 
-	if st.Endpoint != nil {
-		st.Endpoint.PauseStreams()
-	}
-	if st.Peer != nil {
-		st.Peer.Pause()
-	}
+	st.Peer.Pause()
 	if st.Locx != nil {
 		st.Locx.Stop()
 	}
@@ -48,12 +43,7 @@ func (n *Network) StationLeave(id frame.NodeID) {
 			continue
 		}
 		other := n.Stations[node.ID]
-		if other.Endpoint != nil {
-			other.Endpoint.PauseStreamsTo(id)
-		}
-		if other.Peer != nil {
-			other.Peer.PauseTo(id)
-		}
+		other.Peer.PauseTo(id)
 		if other.Locx != nil {
 			other.Locx.Forget(id)
 		}
@@ -88,24 +78,14 @@ func (n *Network) StationRejoin(id frame.NodeID) {
 	if st.Locx != nil {
 		st.Locx.Start()
 	}
-	if st.Endpoint != nil {
-		st.Endpoint.ResumeStreams()
-	}
-	if st.Peer != nil {
-		st.Peer.Resume()
-	}
+	st.Peer.Resume()
 
 	for _, node := range n.Top.Nodes {
 		if node.ID == id {
 			continue
 		}
 		other := n.Stations[node.ID]
-		if other.Endpoint != nil {
-			other.Endpoint.ResumeStreamsTo(id)
-		}
-		if other.Peer != nil {
-			other.Peer.ResumeTo(id)
-		}
+		other.Peer.ResumeTo(id)
 		if other.Agent != nil {
 			other.Agent.OnStationChanged(id)
 		}

@@ -21,8 +21,9 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 //   - each station's "mac" airtime clock partitions the run: its states sum
 //     to the run duration exactly, in nanoseconds;
 //   - no flow delivered more frames than were sent: a unique delivery needs
-//     at least one data transmission, so the frames delivered over a
-//     source's distinct flows cannot exceed its MAC's "tx.data" count.
+//     a frame its source's streams minted for that destination, and at
+//     least one data transmission, so the frames delivered over a source's
+//     distinct flows cannot exceed its MAC's "tx.data" count either.
 //
 // The golden-report tests call it after Run.
 func CheckRunInvariants(t testing.TB, n *Network) {
@@ -43,7 +44,11 @@ func CheckRunInvariants(t testing.TB, n *Network) {
 			continue
 		}
 		counted[f] = true
-		delivered[f.Src] += n.Stations[f.Dst].deliveredFrom(f.Src).Frames()
+		d := n.Stations[f.Dst].Peer.DeliveredFrom(f.Src).Frames()
+		if minted := n.Stations[f.Src].Peer.MintedTo(f.Dst); d > minted {
+			t.Errorf("flow %d->%d: delivered %d frames but its streams minted %d", f.Src, f.Dst, d, minted)
+		}
+		delivered[f.Src] += d
 	}
 	for src, d := range delivered {
 		if sent := n.Stations[src].MAC.Stats().Get("tx.data"); d > sent {

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/arq"
 	"repro/internal/audit"
 	"repro/internal/bianchi"
 	"repro/internal/channel"
@@ -30,7 +29,6 @@ import (
 	"repro/internal/rate"
 	"repro/internal/sim"
 	"repro/internal/slo"
-	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -276,12 +274,16 @@ func CityOptions() Options {
 
 // Station is one assembled node.
 type Station struct {
-	Node     topology.Node
-	MAC      *mac.MAC
-	Agent    *comap.Agent    // nil for DCF
-	Endpoint *comap.Endpoint // nil for DCF
-	Peer     *traffic.Peer   // nil for CO-MAP
-	Locx     *locx.Node      // nil unless Options.InBandLocation
+	Node  topology.Node
+	MAC   *mac.MAC
+	Agent *comap.Agent // nil for DCF
+	// Peer drives the station's outgoing streams and measures what it
+	// receives, under either protocol. For CO-MAP it is Endpoint's.
+	Peer *traffic.Peer
+	// Endpoint is the CO-MAP link layer around Peer: selective-repeat
+	// numbering, SR-ACKs and the control-frame hook. nil for DCF.
+	Endpoint *comap.Endpoint
+	Locx     *locx.Node // nil unless Options.InBandLocation
 	// Metrics is the station's telemetry registry: MAC access latency and
 	// airtime clock, CO-MAP agent counters and ARQ instrumentation all land
 	// here. Always non-nil after Build.
@@ -321,14 +323,6 @@ func (r *providerRef) Changes() (uint64, bool) {
 		return v.Changes()
 	}
 	return 0, false
-}
-
-// deliveredFrom returns the per-source goodput meter of this station's sink.
-func (s *Station) deliveredFrom(src frame.NodeID) *stats.GoodputMeter {
-	if s.Endpoint != nil {
-		return s.Endpoint.DeliveredFrom(src)
-	}
-	return s.Peer.DeliveredFrom(src)
 }
 
 // Network is an assembled, runnable scenario.
@@ -597,8 +591,9 @@ func Build(top topology.Topology, opts Options) (*Network, error) {
 		tr.SetListener(m)
 		st.MAC = m
 		if opts.Protocol == ProtocolComap {
-			st.Endpoint = comap.NewEndpoint(eng, m, arq.DefaultWindow)
+			st.Endpoint = comap.NewEndpoint(eng, m)
 			st.Endpoint.SetMetrics(st.Metrics)
+			st.Peer = st.Endpoint.Peer
 		} else {
 			st.Peer = traffic.NewPeer(eng, m)
 		}
@@ -682,17 +677,7 @@ func Build(top topology.Topology, opts Options) (*Network, error) {
 	for _, f := range top.Flows {
 		f := f
 		src := n.Stations[f.Src]
-		payloadFn := n.payloadFunc(src, f.Dst, senders)
-		switch {
-		case src.Endpoint != nil && opts.CBRBitsPerSec > 0:
-			src.Endpoint.StartCBRStream(f.Dst, payloadFn, opts.CBRBitsPerSec)
-		case src.Endpoint != nil:
-			src.Endpoint.StartStream(f.Dst, payloadFn)
-		case opts.CBRBitsPerSec > 0:
-			src.Peer.StartCBR(f.Dst, payloadFn, opts.CBRBitsPerSec)
-		default:
-			src.Peer.StartSaturated(f.Dst, payloadFn)
-		}
+		src.Peer.Start(f.Dst, n.payloadFunc(src, f.Dst, senders), opts.CBRBitsPerSec)
 	}
 
 	// Fault injection: schedule the spec's processes against the assembled
@@ -877,7 +862,7 @@ func (n *Network) StartSlicing(interval time.Duration) {
 	n.sampler = metrics.NewSampler(n.Eng, interval)
 	n.sliceSeries = make(map[topology.Flow]*metrics.Series, len(n.Top.Flows))
 	for _, f := range n.Top.Flows {
-		meter := n.Stations[f.Dst].deliveredFrom(f.Src)
+		meter := n.Stations[f.Dst].Peer.DeliveredFrom(f.Src)
 		n.sliceSeries[f] = n.sampler.Track(func() float64 { return float64(meter.Bytes()) })
 	}
 	n.sampler.Start()
@@ -919,8 +904,7 @@ func (n *Network) Run() *Results {
 	}
 	res := &Results{Duration: n.Opts.Duration}
 	for _, f := range n.Top.Flows {
-		sink := n.Stations[f.Dst]
-		meter := sink.deliveredFrom(f.Src)
+		meter := n.Stations[f.Dst].Peer.DeliveredFrom(f.Src)
 		res.Flows = append(res.Flows, FlowResult{
 			Flow:       f,
 			GoodputBps: meter.BitsPerSecond(n.Opts.Duration),

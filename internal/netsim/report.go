@@ -276,7 +276,7 @@ func (n *Network) flowSlices(f topology.Flow) []GoodputSlice {
 	}
 	at, values := s.Samples()
 	at = append(at, n.Opts.Duration)
-	values = append(values, float64(n.Stations[f.Dst].deliveredFrom(f.Src).Bytes()))
+	values = append(values, float64(n.Stations[f.Dst].Peer.DeliveredFrom(f.Src).Bytes()))
 	return slicesFromSeries(at, values)
 }
 

@@ -21,16 +21,16 @@ const (
 	// TagChannel covers the medium's transmission lifecycle: airtime-end
 	// delivery and early header-indication events.
 	TagChannel
-	// TagComap covers the CO-MAP endpoint's stream machinery (CBR credit
-	// pump and everything it chains).
+	// TagComap covers CO-MAP stations' stream machinery: the shared
+	// traffic driver's CBR credit ticks and everything they chain.
 	TagComap
 	// TagARQ is reserved for the selective-repeat layer's own timers. The
 	// current ARQ implementation runs synchronously inside mac/comap events,
 	// so this tag reads zero unless a future ARQ grows retransmission
 	// timers of its own.
 	TagARQ
-	// TagTraffic covers the DCF traffic peers: CBR credit and Poisson
-	// arrival processes.
+	// TagTraffic covers DCF stations' stream machinery: the shared traffic
+	// driver's CBR credit ticks and everything they chain.
 	TagTraffic
 	// TagLocx covers the location input plane: in-band beacon ticks and the
 	// location registry's report pipeline (delays, heartbeats).
