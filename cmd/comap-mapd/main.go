@@ -48,7 +48,7 @@ func run() error {
 		httpAddr  = flag.String("http", ":9090", "listen address for the API and observability plane")
 		dataDir   = flag.String("data", "", "persistence directory for snapshot+WAL (empty = in-memory only)")
 		regime    = flag.String("regime", "testbed", "verdict model parameters: testbed | ns2")
-		shards    = flag.Int("shards", 0, "fix-table and verdict-cache shard count (0 = default)")
+		shards    = flag.Int("shards", 0, "verdict-cache shard count (0 = default)")
 		snapEvery = flag.Int("snapshot-every", 0, "WAL records between snapshots (0 = default, negative disables)")
 		widen     = flag.Float64("widen", 0, "extra error-radius inflation for wide verdicts in meters (0 = default)")
 		maxIngest = flag.Int("max-pending-ingest", 0, "concurrently admitted ingest requests before shedding (0 = default)")

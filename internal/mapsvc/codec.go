@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/frame"
@@ -46,7 +47,11 @@ func AppendRecord(buf []byte, r IngestRecord) []byte {
 
 // EncodeRecords encodes a batch as concatenated fixed-size records.
 func EncodeRecords(recs []IngestRecord) []byte {
-	buf := make([]byte, 0, len(recs)*recordSize)
+	return appendRecords(make([]byte, 0, len(recs)*recordSize), recs)
+}
+
+// appendRecords encodes recs onto buf.
+func appendRecords(buf []byte, recs []IngestRecord) []byte {
 	for _, r := range recs {
 		buf = AppendRecord(buf, r)
 	}
@@ -59,7 +64,18 @@ func EncodeRecords(recs []IngestRecord) []byte {
 // is not finite or whose error radius is negative or not finite (a negative
 // radius would make worst-case verdicts optimistic).
 func DecodeRecords(data []byte) ([]IngestRecord, error) {
-	recs := make([]IngestRecord, 0, len(data)/recordSize)
+	recs, err := decodeInto(make([]IngestRecord, 0, len(data)/recordSize), data)
+	if err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
+// decodeInto is DecodeRecords appending to dst, so a caller can reuse one
+// record buffer across batches. On error it returns dst with the records
+// decoded before the bad one.
+func decodeInto(dst []IngestRecord, data []byte) ([]IngestRecord, error) {
+	dst = slices.Grow(dst, len(data)/recordSize)
 	for i := 0; len(data) >= recordSize; i++ {
 		b := data[:recordSize]
 		data = data[recordSize:]
@@ -68,7 +84,7 @@ func DecodeRecords(data []byte) ([]IngestRecord, error) {
 			Node: frame.NodeID(binary.LittleEndian.Uint16(b[1:3])),
 		}
 		if r.Op != RecReport && r.Op != RecDeregister {
-			return nil, fmt.Errorf("mapsvc: unknown ingest op %d", r.Op)
+			return dst, fmt.Errorf("mapsvc: unknown ingest op %d", r.Op)
 		}
 		r.Fix = loc.Fix{
 			ReportedAt:        time.Duration(int64(binary.LittleEndian.Uint64(b[19:27]))),
@@ -78,12 +94,12 @@ func DecodeRecords(data []byte) ([]IngestRecord, error) {
 		r.Fix.Pos.Y = math.Float64frombits(binary.LittleEndian.Uint64(b[11:19]))
 		if r.Op == RecReport {
 			if err := checkFix(r.Fix); err != nil {
-				return nil, fmt.Errorf("mapsvc: ingest record %d (node %d): %w", i, r.Node, err)
+				return dst, fmt.Errorf("mapsvc: ingest record %d (node %d): %w", i, r.Node, err)
 			}
 		}
-		recs = append(recs, r)
+		dst = append(dst, r)
 	}
-	return recs, nil
+	return dst, nil
 }
 
 // checkFix reports the first invalid field of a reported fix.

@@ -3,10 +3,12 @@ package mapsvc
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/comap"
@@ -35,6 +37,31 @@ func ctxFromHeaders(r *http.Request) CallContext {
 	return ctx
 }
 
+// maxIngestBody bounds a /v1/ingest body: one record for every possible
+// NodeID, the largest full-registry resync a Client sends.
+const maxIngestBody = (1 << 16) * recordSize
+
+// ingestBuf is the per-request scratch of /v1/ingest: the body, the decoded
+// records and the reply. ingestBufs pools them, so a steady ingest stream
+// allocates nothing per record.
+type ingestBuf struct {
+	body bytes.Buffer
+	recs []IngestRecord
+}
+
+var ingestBufs = sync.Pool{New: func() any { return new(ingestBuf) }}
+
+// appendIngestReply appends the /v1/ingest reply, byte for byte the
+// indented JSON writeHTTPJSON would write for {"epoch": epoch,
+// "ingested": n}.
+func appendIngestReply(dst []byte, epoch uint64, n int) []byte {
+	dst = append(dst, "{\n  \"epoch\": "...)
+	dst = strconv.AppendUint(dst, epoch, 10)
+	dst = append(dst, ",\n  \"ingested\": "...)
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	return append(dst, "\n}\n"...)
+}
+
 // StatusWithSLO is the /v1/status payload: the service counters plus, when
 // a tracker is attached, the per-endpoint SLO snapshot.
 type StatusWithSLO struct {
@@ -44,7 +71,8 @@ type StatusWithSLO struct {
 
 // NewHTTPHandler exposes the service over HTTP for cmd/comap-mapd:
 //
-//	POST /v1/ingest      body: concatenated binary IngestRecords
+//	POST /v1/ingest      body: concatenated binary IngestRecords (at most
+//	                     maxIngestBody bytes; 413 beyond)
 //	GET  /v1/verdict     ?obs=&src=&dst=&mydst=   → JSON verdict + epoch
 //	POST /v1/invalidate  ?node=N or ?all=1
 //	GET  /v1/status      → ServiceStatus JSON (+ SLO block when tracked)
@@ -80,23 +108,39 @@ func NewHTTPHandler(svc *Service, maxPendingIngest int, tracker *slo.Tracker) ht
 			http.Error(w, "ingest shed: admission control full", http.StatusServiceUnavailable)
 			return
 		}
-		body, err := io.ReadAll(r.Body)
+		buf := ingestBufs.Get().(*ingestBuf)
+		defer ingestBufs.Put(buf)
+		buf.body.Reset()
+		if n := r.ContentLength; n > 0 && n <= maxIngestBody {
+			// Room for the body and the EOF read, so ReadFrom never regrows.
+			buf.body.Grow(int(n) + bytes.MinRead)
+		}
+		if _, err := buf.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxIngestBody)); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, err.Error(), code)
+			return
+		}
+		var err error
+		buf.recs, err = decodeInto(buf.recs[:0], buf.body.Bytes())
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		recs, err := DecodeRecords(body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := svc.ApplyCtx(recs, ctx); err != nil {
+		if err := svc.ApplyCtx(buf.recs, ctx); err != nil {
 			tracker.Observe(OpName(OpIngest), time.Since(start), false)
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
 		tracker.Observe(OpName(OpIngest), time.Since(start), true)
-		writeHTTPJSON(w, map[string]any{"ingested": len(recs), "epoch": svc.Epoch()})
+		// The body is consumed; its buffer holds the reply.
+		buf.body.Reset()
+		reply := appendIngestReply(buf.body.AvailableBuffer(), svc.Epoch(), len(buf.recs))
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(reply)
 	})
 	mux.HandleFunc("/v1/verdict", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {

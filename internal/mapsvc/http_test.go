@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/comap"
+	"repro/internal/frame"
 	"repro/internal/geom"
 	"repro/internal/loc"
 	"repro/internal/slo"
@@ -124,6 +125,125 @@ func TestHTTPIngestRejectsNonFiniteFix(t *testing.T) {
 	}
 	if fix, ok := svc.fixOf(4); ok {
 		t.Errorf("fix table holds %+v", fix)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds, whose instrumentation
+// allocates on its own.
+var raceEnabled bool
+
+// postIngest serves one POST /v1/ingest of body on h.
+func postIngest(h http.Handler, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body)))
+	return rec
+}
+
+// reportBatch is n reports of nodes first, first+1, ... (mod 65,536).
+func reportBatch(first, n int) []IngestRecord {
+	recs := make([]IngestRecord, n)
+	for i := range recs {
+		recs[i] = IngestRecord{Op: RecReport, Node: frame.NodeID(first + i),
+			Fix: loc.Fix{Pos: geom.Pt(float64(i), 1), ReportedAt: time.Second, ErrorRadiusMeters: 2}}
+	}
+	return recs
+}
+
+// TestHTTPIngestReplyBytes pins the /v1/ingest reply byte for byte: the
+// indented JSON of {"epoch", "ingested"} that encoding/json writes.
+func TestHTTPIngestReplyBytes(t *testing.T) {
+	_, svc, _, _ := newHTTPFixture(t)
+	rec := postIngest(NewHTTPHandler(svc, 0, nil), EncodeRecords(testTopologyRecords(0)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	const want = "{\n  \"epoch\": 2,\n  \"ingested\": 5\n}\n"
+	if got := rec.Body.String(); got != want {
+		t.Errorf("reply %q, want %q", got, want)
+	}
+	var enc bytes.Buffer
+	e := json.NewEncoder(&enc)
+	e.SetIndent("", "  ")
+	if err := e.Encode(map[string]any{"ingested": 5, "epoch": uint64(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if enc.String() != want {
+		t.Errorf("encoding/json writes %q, the pinned reply is %q", enc.String(), want)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q, want application/json", ct)
+	}
+}
+
+// TestHTTPIngestBodyBound asserts /v1/ingest accepts a full-registry resync
+// (one report per possible NodeID) and answers 413 to a body one record
+// longer, leaving the ingest count, the WAL and the fix table as they were.
+func TestHTTPIngestBodyBound(t *testing.T) {
+	store := NewMemStore()
+	svc := NewService(ServiceConfig{Judge: testJudge(nil), Store: store, SnapshotEvery: -1})
+	if err := svc.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHTTPHandler(svc, 0, nil)
+	full := EncodeRecords(reportBatch(0, 1<<16))
+	if len(full) != maxIngestBody {
+		t.Fatalf("a full resync is %d bytes, the bound is %d", len(full), maxIngestBody)
+	}
+	if rec := postIngest(h, full); rec.Code != http.StatusOK {
+		t.Fatalf("full resync: status %d: %s", rec.Code, rec.Body)
+	}
+	if st := svc.Status(); st.Fixes != 1<<16 || st.Ingested != 1<<16 {
+		t.Fatalf("full resync: %d fixes, %d ingested, want 65536 each", st.Fixes, st.Ingested)
+	}
+
+	over := EncodeRecords(reportBatch(7, 1<<16+1))
+	before := svc.Status()
+	if rec := postIngest(h, over); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: status %d, want 413", rec.Code)
+	}
+	after := svc.Status()
+	if after.Ingested != before.Ingested || after.WALRecords != before.WALRecords {
+		t.Errorf("oversize body moved ingested %d -> %d, WAL records %d -> %d",
+			before.Ingested, after.Ingested, before.WALRecords, after.WALRecords)
+	}
+	if _, wal, _ := store.Load(); len(wal) != 1<<16 {
+		t.Errorf("WAL holds %d records after the rejected body, want 65536", len(wal))
+	}
+	if fix, _ := svc.fixOf(7); fix.Pos.X != 7 {
+		t.Errorf("node 7 holds %+v after the rejected body, want the resync's fix", fix)
+	}
+}
+
+// TestHTTPIngestAllocationsPerPost pins the ingest handler's steady state:
+// a POST allocates the same whether it carries 64 records or 2,048, so no
+// allocation is made per record.
+func TestHTTPIngestAllocationsPerPost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	svc := NewService(ServiceConfig{Judge: testJudge(nil), Store: NewMemStore()})
+	if err := svc.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHTTPHandler(svc, 0, slo.NewTracker(func() time.Duration { return 0 }, slo.DefaultObjectives()...))
+	perPost := func(n int) float64 {
+		body := EncodeRecords(reportBatch(0, n))
+		post := func() {
+			if rec := postIngest(h, body); rec.Code != http.StatusOK {
+				t.Fatalf("%d records: status %d", n, rec.Code)
+			}
+		}
+		// Warm up through several snapshots, so the table, the WAL, the
+		// snapshot buffer and the pooled buffers reach their sizes.
+		for i := 0; i < 4*DefaultSnapshotEvery/n+4; i++ {
+			post()
+		}
+		return testing.AllocsPerRun(100, post)
+	}
+	small, large := perPost(64), perPost(2048)
+	t.Logf("%.0f allocations per POST of 64 records, %.0f of 2048", small, large)
+	if small != large {
+		t.Errorf("a POST of 2048 records makes %.0f allocations, one of 64 makes %.0f: the handler allocates per record", large, small)
 	}
 }
 
@@ -301,8 +421,8 @@ var httpPaths = []string{"/v1/ingest", "/v1/verdict", "/v1/invalidate"}
 
 // FuzzHTTPHandler sends fuzzed methods, queries and bodies to the mapd
 // ingest, verdict and invalidate endpoints. No input may panic the
-// handler or draw a status other than 200, 400, 405 or 503, and a rejected
-// ingest must leave the ingest count unchanged.
+// handler or draw a status other than 200, 400, 405, 413 or 503, and a
+// rejected ingest must leave the ingest count unchanged.
 func FuzzHTTPHandler(f *testing.F) {
 	ingest := EncodeRecords(testTopologyRecords(time.Second))
 	f.Add("POST", uint8(0), "", ingest)
@@ -314,6 +434,7 @@ func FuzzHTTPHandler(f *testing.F) {
 	f.Add("POST", uint8(2), "all=1", []byte(nil))
 	f.Add("POST", uint8(2), "all=0", []byte(nil))
 	f.Add("DELETE", uint8(2), "node=x", []byte("x"))
+	f.Add("POST", uint8(0), "", EncodeRecords(reportBatch(0, 1<<16+1)))
 	f.Fuzz(func(t *testing.T, method string, path uint8, query string, body []byte) {
 		svc := NewService(ServiceConfig{Judge: testJudge(nil), Store: NewMemStore()})
 		if err := svc.ApplyCtx(testTopologyRecords(0), CallContext{}); err != nil {
@@ -329,7 +450,8 @@ func FuzzHTTPHandler(f *testing.F) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		switch rec.Code {
-		case http.StatusOK, http.StatusBadRequest, http.StatusMethodNotAllowed, http.StatusServiceUnavailable:
+		case http.StatusOK, http.StatusBadRequest, http.StatusMethodNotAllowed,
+			http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable:
 		default:
 			t.Fatalf("%s %s?%s: status %d", method, p, query, rec.Code)
 		}

@@ -1,14 +1,15 @@
 // Package mapsvc extracts the CO-MAP control plane — the location registry
 // mirror, the co-occurrence verdict computation and its caches — behind a
-// client/server boundary. The Service holds a sharded fix table fed by a
-// streaming ingest of registry commits, a sharded per-observer verdict
-// cache with per-node invalidation, and snapshot + write-ahead-log
-// persistence with replay-on-restart recovery. The Client wraps every call
-// in the full robustness toolkit (per-call deadlines, bounded retries with
-// jittered exponential backoff, a retry budget, a circuit breaker) and
-// degrades through a four-rung ladder — fresh verdicts → cached-but-stale
-// with widened error-radius margins → coarse registry-only geometry →
-// plain DCF — when the control plane is slow, partitioned or restarting.
+// client/server boundary. The Service holds a dense node-indexed fix
+// table fed by a streaming ingest of registry commits, a sharded
+// per-observer verdict cache with per-node invalidation, and snapshot +
+// write-ahead-log persistence with replay-on-restart recovery. The Client
+// wraps every call in the full robustness toolkit (per-call deadlines,
+// bounded retries with jittered exponential backoff, a retry budget, a
+// circuit breaker) and degrades through a four-rung ladder — fresh
+// verdicts → cached-but-stale with widened error-radius margins → coarse
+// registry-only geometry → plain DCF — when the control plane is slow,
+// partitioned or restarting.
 //
 // The same client runs over two transports: SimTransport executes calls
 // in-process on the simulation clock with fault fates drawn from seeded
@@ -18,7 +19,6 @@ package mapsvc
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,7 +73,7 @@ type ServiceConfig struct {
 	// WidenMeters inflates error radii for the Wide verdict
 	// (DefaultWidenMeters when 0).
 	WidenMeters float64
-	// Shards is the fix-table and verdict-cache shard count (8 when 0).
+	// Shards is the verdict-cache shard count (8 when 0).
 	Shards int
 	// Store is the snapshot+WAL backend; nil disables persistence (a
 	// crash then recovers to an empty state).
@@ -85,9 +85,10 @@ type ServiceConfig struct {
 	Now func() time.Duration
 }
 
-type fixShard struct {
-	mu    sync.RWMutex
-	fixes map[frame.NodeID]loc.Fix
+// slot is one entry of the fix table; ok marks a node with a fix.
+type slot struct {
+	fix loc.Fix
+	ok  bool
 }
 
 type cachedVerdict struct {
@@ -108,16 +109,21 @@ type Service struct {
 	fixFn  comap.FixFunc
 	events func(trace.Event)
 
-	shards  []*fixShard
+	// fixes is the fix table, indexed by node ID. It grows to the largest
+	// ID reported, which a uint16 NodeID caps at 65,536 slots.
+	fixMu   sync.RWMutex
+	fixes   []slot
 	vshards []*verdictShard
 
 	down  atomic.Bool
 	epoch atomic.Uint64
 
-	// walMu serializes WAL appends, the snapshot cadence counter and
-	// snapshot writes.
+	// walMu serializes ingest batches (WAL append, then table update), the
+	// snapshot cadence counter and snapshot writes; snapRecs is the
+	// snapshot's record buffer, reused across snapshots.
 	walMu    sync.Mutex
 	walSince int
+	snapRecs []IngestRecord
 
 	nFixes         atomic.Int64
 	nCache         atomic.Int64
@@ -146,10 +152,8 @@ func NewService(cfg ServiceConfig) *Service {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}
 	s := &Service{cfg: cfg}
-	s.shards = make([]*fixShard, cfg.Shards)
 	s.vshards = make([]*verdictShard, cfg.Shards)
-	for i := range s.shards {
-		s.shards[i] = &fixShard{fixes: make(map[frame.NodeID]loc.Fix)}
+	for i := range s.vshards {
 		s.vshards[i] = &verdictShard{m: make(map[Key]cachedVerdict)}
 	}
 	s.fixFn = s.fixOf
@@ -189,71 +193,72 @@ func (s *Service) Epoch() uint64 { return s.epoch.Load() }
 // Down reports whether the service is crashed.
 func (s *Service) Down() bool { return s.down.Load() }
 
-func (s *Service) fixShardOf(id frame.NodeID) *fixShard {
-	return s.shards[int(id)%len(s.shards)]
-}
-
 func (s *Service) vShardOf(observer frame.NodeID) *verdictShard {
 	return s.vshards[int(observer)%len(s.vshards)]
 }
 
 func (s *Service) fixOf(id frame.NodeID) (loc.Fix, bool) {
-	sh := s.fixShardOf(id)
-	sh.mu.RLock()
-	f, ok := sh.fixes[id]
-	sh.mu.RUnlock()
-	return f, ok
+	var sl slot
+	s.fixMu.RLock()
+	if int(id) < len(s.fixes) {
+		sl = s.fixes[id]
+	}
+	s.fixMu.RUnlock()
+	return sl.fix, sl.ok
 }
 
 // ApplyCtx ingests a batch of registry change records: WAL-append first
 // (when persistence is on), then apply to the fix table, then snapshot if
-// the cadence came due. ctx is the caller's causal context for tracing.
+// the cadence came due. The service keeps no reference to recs. ctx is the
+// caller's causal context for tracing.
 func (s *Service) ApplyCtx(recs []IngestRecord, ctx CallContext) error {
 	if s.down.Load() {
 		return ErrUnavailable
 	}
-	doSnap := false
+	s.walMu.Lock()
 	if s.cfg.Store != nil {
-		s.walMu.Lock()
 		if err := s.cfg.Store.AppendWAL(recs); err != nil {
 			s.walMu.Unlock()
 			return err
 		}
 		s.walRecords.Add(int64(len(recs)))
 		s.walSince += len(recs)
-		doSnap = s.cfg.SnapshotEvery > 0 && s.walSince >= s.cfg.SnapshotEvery
-		s.walMu.Unlock()
 	}
-	for _, rec := range recs {
-		s.applyOne(rec)
-	}
+	s.apply(recs)
 	s.ingested.Add(int64(len(recs)))
-	s.emit("admit", "ingest", ctx, len(recs))
-	if doSnap {
-		if err := s.Snapshot(); err != nil {
-			return err
-		}
+	var err error
+	if s.cfg.Store != nil && s.cfg.SnapshotEvery > 0 && s.walSince >= s.cfg.SnapshotEvery {
+		err = s.snapshotLocked()
 	}
-	return nil
+	s.walMu.Unlock()
+	s.emit("admit", "ingest", ctx, len(recs))
+	return err
 }
 
-func (s *Service) applyOne(rec IngestRecord) {
-	sh := s.fixShardOf(rec.Node)
-	sh.mu.Lock()
-	_, had := sh.fixes[rec.Node]
-	switch rec.Op {
-	case RecReport:
-		sh.fixes[rec.Node] = rec.Fix
-		if !had {
-			s.nFixes.Add(1)
-		}
-	case RecDeregister:
-		if had {
-			delete(sh.fixes, rec.Node)
-			s.nFixes.Add(-1)
+// apply updates the fix table with recs under one write lock.
+func (s *Service) apply(recs []IngestRecord) {
+	s.fixMu.Lock()
+	defer s.fixMu.Unlock()
+	added := 0
+	for _, rec := range recs {
+		i := int(rec.Node)
+		switch rec.Op {
+		case RecReport:
+			if i >= len(s.fixes) {
+				s.fixes = append(s.fixes, make([]slot, i+1-len(s.fixes))...)
+			}
+			if !s.fixes[i].ok {
+				added++
+			}
+			s.fixes[i] = slot{fix: rec.Fix, ok: true}
+		case RecDeregister:
+			if i < len(s.fixes) && s.fixes[i].ok {
+				s.fixes[i] = slot{}
+				added--
+			}
 		}
 	}
-	sh.mu.Unlock()
+	s.nFixes.Add(int64(added))
 }
 
 // VerdictForCtx answers one verdict request: cache hit, or health gate +
@@ -342,16 +347,21 @@ func (s *Service) InvalidateAllCtx(ctx CallContext) {
 	s.emit("invalidate_all", "invalidate_all", ctx, dropped)
 }
 
-// Snapshot persists the full fix table (sorted by node for determinism)
-// and truncates the WAL.
+// Snapshot persists the full fix table (in node order) and truncates the
+// WAL.
 func (s *Service) Snapshot() error {
 	if s.cfg.Store == nil {
 		return nil
 	}
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
-	recs := s.fixRecords()
-	if err := s.cfg.Store.WriteSnapshot(recs); err != nil {
+	return s.snapshotLocked()
+}
+
+// snapshotLocked is Snapshot with walMu held.
+func (s *Service) snapshotLocked() error {
+	s.snapRecs = s.fixRecords(s.snapRecs[:0])
+	if err := s.cfg.Store.WriteSnapshot(s.snapRecs); err != nil {
 		return err
 	}
 	s.walSince = 0
@@ -362,18 +372,17 @@ func (s *Service) Snapshot() error {
 	return nil
 }
 
-// fixRecords dumps the fix table as RecReport records sorted by node.
-func (s *Service) fixRecords() []IngestRecord {
-	var recs []IngestRecord
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for id, f := range sh.fixes {
-			recs = append(recs, IngestRecord{Op: RecReport, Node: id, Fix: f})
+// fixRecords appends the fix table to dst as RecReport records in node
+// order.
+func (s *Service) fixRecords(dst []IngestRecord) []IngestRecord {
+	s.fixMu.RLock()
+	defer s.fixMu.RUnlock()
+	for i, sl := range s.fixes {
+		if sl.ok {
+			dst = append(dst, IngestRecord{Op: RecReport, Node: frame.NodeID(i), Fix: sl.fix})
 		}
-		sh.mu.RUnlock()
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Node < recs[j].Node })
-	return recs
+	return dst
 }
 
 // Crash simulates the service process dying: all volatile state (fix
@@ -386,11 +395,9 @@ func (s *Service) Crash() {
 }
 
 func (s *Service) clearVolatile() {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.fixes = make(map[frame.NodeID]loc.Fix)
-		sh.mu.Unlock()
-	}
+	s.fixMu.Lock()
+	s.fixes = s.fixes[:0]
+	s.fixMu.Unlock()
 	for _, vs := range s.vshards {
 		vs.mu.Lock()
 		vs.m = make(map[Key]cachedVerdict)
@@ -412,12 +419,8 @@ func (s *Service) Recover() error {
 		if err != nil {
 			return err
 		}
-		for _, rec := range snap {
-			s.applyOne(rec)
-		}
-		for _, rec := range wal {
-			s.applyOne(rec)
-		}
+		s.apply(snap)
+		s.apply(wal)
 		walLen = len(wal)
 		s.walReplayed.Add(int64(walLen))
 	}

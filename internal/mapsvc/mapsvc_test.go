@@ -3,7 +3,9 @@ package mapsvc
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -315,6 +317,53 @@ func TestDirStoreAppendAfterTornTail(t *testing.T) {
 	}
 }
 
+// TestStoresCopyWhatTheyKeep asserts both stores copy the records they are
+// given: the service reuses its batch and snapshot slices, so overwriting a
+// slice after AppendWAL or WriteSnapshot must not change what Load returns.
+func TestStoresCopyWhatTheyKeep(t *testing.T) {
+	d, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	scribble := func(recs []IngestRecord) {
+		for i := range recs {
+			recs[i] = IngestRecord{Op: RecDeregister, Node: 9999}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		store Store
+	}{{"MemStore", NewMemStore()}, {"DirStore", d}} {
+		wal := sampleRecords()
+		if err := tc.store.AppendWAL(wal); err != nil {
+			t.Fatal(err)
+		}
+		scribble(wal)
+		if _, got, err := tc.store.Load(); err != nil || !slices.Equal(got, sampleRecords()) {
+			t.Errorf("%s: WAL after overwriting the appended slice = %+v (%v), want %+v", tc.name, got, err, sampleRecords())
+		}
+
+		snap, tail := sampleRecords()[:2], sampleRecords()[2:]
+		if err := tc.store.WriteSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		scribble(snap)
+		if err := tc.store.AppendWAL(tail); err != nil {
+			t.Fatal(err)
+		}
+		scribble(tail)
+		gotSnap, gotWAL, err := tc.store.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(gotSnap, sampleRecords()[:2]) || !slices.Equal(gotWAL, sampleRecords()[2:]) {
+			t.Errorf("%s: after overwriting the passed slices, Load = %+v then %+v, want %+v then %+v",
+				tc.name, gotSnap, gotWAL, sampleRecords()[:2], sampleRecords()[2:])
+		}
+	}
+}
+
 // FuzzRecover restarts a service over fuzzed snapshot and WAL files. It
 // must never panic; every fix it recovers must be finite; and a record
 // appended after the recovery must read back, after a reopen, on top of
@@ -344,7 +393,7 @@ func FuzzRecover(f *testing.F) {
 				return nil
 			}
 			fixes := make(map[frame.NodeID]loc.Fix)
-			for _, r := range svc.fixRecords() {
+			for _, r := range svc.fixRecords(nil) {
 				if err := checkFix(r.Fix); err != nil {
 					t.Fatalf("recovered node %d with a bad fix: %v", r.Node, err)
 				}
@@ -527,6 +576,85 @@ func TestServiceUnhealthyVerdictsNeverCached(t *testing.T) {
 	}
 	if !v.Unhealthy {
 		t.Fatalf("aged-fix verdict = %+v, want unhealthy", v)
+	}
+}
+
+// TestDenseFixTableMatchesMapReference drives random report and deregister
+// streams through ApplyCtx and checks the fix table against a map: fixOf,
+// Status().Fixes and the snapshot's node order after every batch, and the
+// same after a crash and recovery. The IDs include both ends of the NodeID
+// range; streams deregister IDs never reported and report IDs after their
+// deregistration, and a deregistration never grows the table.
+func TestDenseFixTableMatchesMapReference(t *testing.T) {
+	ids := []frame.NodeID{0, 1, 2, 9, 300, 4096, 65534, 65535} // ascending
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		svc := NewService(ServiceConfig{Judge: testJudge(nil), Store: NewMemStore(), SnapshotEvery: 1 + rng.Intn(16)})
+		if err := svc.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		ref := make(map[frame.NodeID]loc.Fix)
+		check := func(when string) {
+			t.Helper()
+			if got := svc.Status().Fixes; got != int64(len(ref)) {
+				t.Fatalf("seed %d, %s: Status().Fixes = %d, want %d", seed, when, got, len(ref))
+			}
+			var want []IngestRecord
+			for _, id := range ids {
+				wantFix, wantOK := ref[id]
+				if got, ok := svc.fixOf(id); got != wantFix || ok != wantOK {
+					t.Fatalf("seed %d, %s: fixOf(%d) = %+v, %v, want %+v, %v", seed, when, id, got, ok, wantFix, wantOK)
+				}
+				if wantOK {
+					want = append(want, IngestRecord{Op: RecReport, Node: id, Fix: wantFix})
+				}
+			}
+			if got := svc.fixRecords(nil); !slices.Equal(got, want) {
+				t.Fatalf("seed %d, %s: snapshot records %+v, want %+v", seed, when, got, want)
+			}
+		}
+
+		// Deregistrations of IDs never reported leave the table empty.
+		if err := svc.ApplyCtx([]IngestRecord{{Op: RecDeregister, Node: 65535}, {Op: RecDeregister, Node: 9}}, CallContext{}); err != nil {
+			t.Fatal(err)
+		}
+		if len(svc.fixes) != 0 {
+			t.Fatalf("seed %d: deregistrations grew the table to %d slots", seed, len(svc.fixes))
+		}
+		check("after deregistering unknown IDs")
+
+		largest := -1
+		for batch := 0; batch < 60; batch++ {
+			recs := make([]IngestRecord, 1+rng.Intn(8))
+			for i := range recs {
+				id := ids[rng.Intn(len(ids))]
+				if rng.Intn(3) == 0 {
+					recs[i] = IngestRecord{Op: RecDeregister, Node: id}
+					delete(ref, id)
+					continue
+				}
+				fix := loc.Fix{
+					Pos:               geom.Pt(rng.Float64()*1000, rng.Float64()*1000),
+					ReportedAt:        time.Duration(batch) * time.Millisecond,
+					ErrorRadiusMeters: rng.Float64() * 5,
+				}
+				recs[i] = IngestRecord{Op: RecReport, Node: id, Fix: fix}
+				ref[id] = fix
+				largest = max(largest, int(id))
+			}
+			if err := svc.ApplyCtx(recs, CallContext{}); err != nil {
+				t.Fatal(err)
+			}
+			if len(svc.fixes) != largest+1 {
+				t.Fatalf("seed %d, batch %d: table has %d slots, the largest ID reported is %d", seed, batch, len(svc.fixes), largest)
+			}
+			check(fmt.Sprintf("batch %d", batch))
+		}
+		svc.Crash()
+		if err := svc.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		check("after recovery")
 	}
 }
 

@@ -12,6 +12,10 @@ import (
 // last snapshot (as RecReport records) followed by the WAL records to
 // replay over it.
 //
+// The service calls AppendWAL and WriteSnapshot from one goroutine at a
+// time and reuses the slices it passes once they return, so an
+// implementation must copy whatever it keeps of recs.
+//
 // MemStore backs the deterministic in-simulation crash/recover model;
 // DirStore persists to real files so comap-mapd survives a SIGKILL.
 type Store interface {
@@ -37,10 +41,11 @@ func (m *MemStore) AppendWAL(recs []IngestRecord) error {
 	return nil
 }
 
-// WriteSnapshot replaces the snapshot and truncates the WAL.
+// WriteSnapshot replaces the snapshot with a copy of recs and truncates the
+// WAL; both keep their capacity.
 func (m *MemStore) WriteSnapshot(recs []IngestRecord) error {
-	m.snap = append(m.snap[:0:0], recs...)
-	m.wal = m.wal[:0:0]
+	m.snap = append(m.snap[:0], recs...)
+	m.wal = m.wal[:0]
 	return nil
 }
 
@@ -56,6 +61,7 @@ func (m *MemStore) Load() (snapshot, wal []IngestRecord, err error) {
 type DirStore struct {
 	dir string
 	wal *os.File
+	buf []byte // encode buffer, reused by AppendWAL and WriteSnapshot
 }
 
 // NewDirStore opens (creating if needed) a directory-backed store.
@@ -75,7 +81,8 @@ func (d *DirStore) Close() error { return d.wal.Close() }
 
 // AppendWAL appends the encoded batch and syncs it to disk.
 func (d *DirStore) AppendWAL(recs []IngestRecord) error {
-	if _, err := d.wal.Write(EncodeRecords(recs)); err != nil {
+	d.buf = appendRecords(d.buf[:0], recs)
+	if _, err := d.wal.Write(d.buf); err != nil {
 		return fmt.Errorf("mapsvc: append wal: %w", err)
 	}
 	if err := d.wal.Sync(); err != nil {
@@ -88,7 +95,8 @@ func (d *DirStore) AppendWAL(recs []IngestRecord) error {
 // WAL (the snapshot subsumes it).
 func (d *DirStore) WriteSnapshot(recs []IngestRecord) error {
 	tmp := filepath.Join(d.dir, "snapshot.tmp")
-	if err := os.WriteFile(tmp, EncodeRecords(recs), 0o644); err != nil {
+	d.buf = appendRecords(d.buf[:0], recs)
+	if err := os.WriteFile(tmp, d.buf, 0o644); err != nil {
 		return fmt.Errorf("mapsvc: write snapshot: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(d.dir, "snapshot.dat")); err != nil {

@@ -12,6 +12,8 @@
 # base/HEAD for higher-is-better ones). The gate fails when a median ratio
 # exceeds 1 + the metric's bound, when a run prints correct: false, or when
 # HEAD fails a larger share of its operations than the base in any pair.
+# Pass or fail, it prints each workload's per-pair ratios for every
+# end-to-end metric, so the spread behind each median is in the output.
 # Both sides run on the same machine within minutes of each other, so the
 # gate compares code, not hosts.
 set -euo pipefail
@@ -71,10 +73,10 @@ for w in "${workloads[@]}"; do
 done
 
 echo "bench-pairs: base $base vs HEAD $head, $PAIRS pairs per workload, --seconds $RUN_SECONDS"
-python3 - "$work/head/BENCHMARK.json" "$work/out" "$PAIRS" <<'EOF'
+python3 - "$work/head/BENCHMARK.json" "$work/out" "$PAIRS" "$SEED_BASE" <<'EOF'
 import json, statistics, sys
 
-bench_path, out, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
+bench_path, out, pairs, seed_base = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 bench = json.load(open(bench_path))
 workloads = [w["name"] for w in bench["workloads"]]
 problems = []
@@ -115,27 +117,36 @@ def ratio(m, b, h):
     return num / den if den else float("inf")
 
 col = max(len(w) for w in workloads) + 2
+pair_ratios = {}  # (workload, metric) -> per-pair ratios, in pair order
 print("median per-pair ratio, >1 is worse (HEAD/base; base/HEAD where higher is better)")
 print(f"{'metric':<22}{'bound':>7}" + "".join(f"{w:>{col}}" for w in workloads))
 for m in bench["end_to_end"]:
     cells = []
     for w in workloads:
-        rs = []
+        rs = []  # None where a side has no result
         for i in range(1, pairs + 1):
             b, h = runs[(w, i, "base")], runs[(w, i, "head")]
-            if b is not None and h is not None:
-                rs.append(ratio(m, b["metrics"][m["name"]]["value"], h["metrics"][m["name"]]["value"]))
-        if not rs:
+            rs.append(None if b is None or h is None else
+                      ratio(m, b["metrics"][m["name"]]["value"], h["metrics"][m["name"]]["value"]))
+        pair_ratios[(w, m["name"])] = rs
+        vals = [r for r in rs if r is not None]
+        if not vals:
             cells.append("-")
             continue
-        med = statistics.median(rs)
+        med = statistics.median(vals)
         cell = f"{med:.3f}"
         if med > 1 + m["bound"]:
             cell = "FAIL " + cell
-            problems.append(f"{m['name']} on {w}: median ratio {med:.3f} worse than bound {m['bound']} (pairs: {', '.join(f'{r:.3f}' for r in rs)})")
+            problems.append(f"{m['name']} on {w}: median ratio {med:.3f} worse than bound {m['bound']}")
         cells.append(cell)
     print(f"{m['name']:<22}{m['bound']:>7}" + "".join(f"{c:>{col}}" for c in cells))
 print(f"{'failed/attempted':<29}" + "".join(f"{failed[w]:>{col}}" for w in workloads) + "   (base HEAD)")
+print()
+print(f"per-pair ratios, pairs 1..{pairs} (seeds {seed_base + 1}..{seed_base + pairs}), >1 is worse")
+for w in workloads:
+    print(w)
+    for m in bench["end_to_end"]:
+        print(f"  {m['name']:<20}" + " ".join("-" if r is None else f"{r:.3f}" for r in pair_ratios[(w, m["name"])]))
 
 for p in problems:
     print("bench-pairs: FAIL:", p)
