@@ -64,16 +64,11 @@ func appendRecords(buf []byte, recs []IngestRecord) []byte {
 // is not finite or whose error radius is negative or not finite (a negative
 // radius would make worst-case verdicts optimistic).
 func DecodeRecords(data []byte) ([]IngestRecord, error) {
-	recs, err := decodeInto(make([]IngestRecord, 0, len(data)/recordSize), data)
-	if err != nil {
-		return nil, err
-	}
-	return recs, nil
+	return decodeInto(make([]IngestRecord, 0, len(data)/recordSize), data)
 }
 
 // decodeInto is DecodeRecords appending to dst, so a caller can reuse one
-// record buffer across batches. On error it returns dst with the records
-// decoded before the bad one.
+// record buffer across batches.
 func decodeInto(dst []IngestRecord, data []byte) ([]IngestRecord, error) {
 	dst = slices.Grow(dst, len(data)/recordSize)
 	for i := 0; len(data) >= recordSize; i++ {
@@ -84,7 +79,7 @@ func decodeInto(dst []IngestRecord, data []byte) ([]IngestRecord, error) {
 			Node: frame.NodeID(binary.LittleEndian.Uint16(b[1:3])),
 		}
 		if r.Op != RecReport && r.Op != RecDeregister {
-			return dst, fmt.Errorf("mapsvc: unknown ingest op %d", r.Op)
+			return nil, fmt.Errorf("mapsvc: unknown ingest op %d", r.Op)
 		}
 		r.Fix = loc.Fix{
 			ReportedAt:        time.Duration(int64(binary.LittleEndian.Uint64(b[19:27]))),
@@ -94,7 +89,7 @@ func decodeInto(dst []IngestRecord, data []byte) ([]IngestRecord, error) {
 		r.Fix.Pos.Y = math.Float64frombits(binary.LittleEndian.Uint64(b[11:19]))
 		if r.Op == RecReport {
 			if err := checkFix(r.Fix); err != nil {
-				return dst, fmt.Errorf("mapsvc: ingest record %d (node %d): %w", i, r.Node, err)
+				return nil, fmt.Errorf("mapsvc: ingest record %d (node %d): %w", i, r.Node, err)
 			}
 		}
 		dst = append(dst, r)
